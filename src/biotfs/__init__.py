@@ -72,15 +72,13 @@ from .solver import (
 )
 from .spectral import (
     EstimationError,
-    MatrixPencil,
-    PowerResult,
+    Pencil,
     SpectralEstimates,
     estimate_beta,
     estimate_k_star,
     estimate_spectrum,
     optimal_parameters,
-    power_iteration_max,
-    power_iteration_min,
+    pencil,
     schur_apply,
 )
 from .experiment import (

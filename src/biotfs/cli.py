@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mesh-n", type=int, help="restrict to one mesh resolution")
         p.add_argument("--seed", type=int, help="override the spectral seed")
         p.add_argument(
-            "--mode", choices=("fine", "coarse"), help="power iteration tolerance mode"
+            "--mode", choices=("fine", "coarse"), help="spectral estimate tolerance mode"
         )
         p.add_argument("--out", type=Path, help="output path (default: stdout)")
         p.add_argument(

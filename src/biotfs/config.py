@@ -47,7 +47,7 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Power iteration controls; mode picks the default tolerance."""
+    """Spectral estimator controls; mode picks the default tolerance."""
 
     mode: str = "fine"
     tol: float | None = None
@@ -76,7 +76,7 @@ class ExperimentConfig:
     mesh_ns: tuple
     eps_r: float = 1e-6
     max_iter: int = 1000
-    inner_tol: float = 1e-12
+    inner_tol: float = 1e-12  # no-op (direct inner solves); feeds config_hash
     L: object = "optimal"  # float or the string "optimal"
     sources: str = "manufactured"  # or "zero"
     sweep: SweepGrid = SweepGrid(0.6e11, 1.6e11, 31)

@@ -45,8 +45,9 @@ class SolverConfig:
 
     L is the stabilization parameter (1/Pa); it must be positive for
     incompressible fluids (inv_m = 0). eps_r is the relative increment
-    tolerance in the energy norms, max_iter the per-step cap and inner_tol
-    the tolerance honoured by the inner elastic solves.
+    tolerance in the energy norms and max_iter the per-step cap. inner_tol
+    is a no-op: the inner elastic solves are direct. It is kept because
+    configuration files set it and it feeds the configuration hash.
     """
 
     L: float
@@ -177,7 +178,6 @@ def richardson_step(
     p_prev: np.ndarray,
     omega: float,
     g_tilde: np.ndarray | None = None,
-    inner_tol=None,
 ) -> np.ndarray:
     """Relaxed Richardson update on the pressure Schur complement.
 
@@ -188,7 +188,7 @@ def richardson_step(
     if omega < 0.0:
         raise ValueError(f"omega must be nonnegative, got {omega}")
     gt = schur_rhs(system) if g_tilde is None else g_tilde
-    residual = gt - schur_apply(system, p_prev, inner_tol)
+    residual = gt - schur_apply(system, p_prev)
     return p_prev + omega * system.m_solve(residual)
 
 

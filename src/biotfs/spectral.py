@@ -14,8 +14,14 @@ same eigenvalues identify two bulk-type moduli: k_star = alpha^2 /
 eigenvalue problem, and beta = alpha^2 / (lambda_min - inv_m), which exists
 for inf-sup stable discretizations.
 
-Everything here is matrix-free: S is only ever applied through the cached
-factorization of A, never formed.
+Both extreme eigenvalues come from one run of implicitly restarted Lanczos
+(ARPACK through scipy's eigsh; Lehoucq, Sorensen & Yang, 1998) on the
+matrix-free pencil: S is only ever applied through the cached factorization
+of A, never formed. Every returned eigenpair carries a certificate, its
+relative eigen-residual ||S v - lambda Mp v||_{inv(Mp)} / (|lambda|
+||v||_{Mp}); by the Krylov-Weinstein bound lambda then lies within that
+relative distance of an eigenvalue of the pencil, and an estimate counts as
+converged only when every residual is within the requested tolerance.
 """
 
 from __future__ import annotations
@@ -24,24 +30,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from .assembly import BiotSystem, MaterialParams
-from .linalg import factorize
+from .linalg import m_norm
 
 
 class EstimationError(RuntimeError):
     """A spectral estimate is structurally unavailable (degenerate input)."""
-
-
-class PowerResult(NamedTuple):
-    """Outcome of a power iteration: estimate, step count, convergence flag
-    and the final (M-normalized) iterate."""
-
-    value: float
-    steps: int
-    converged: bool
-    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -51,6 +48,11 @@ class SpectralEstimates:
     Invariants: 0 < lambda_min <= lambda_max, beta >= k_star,
     omega_opt = 2/(lambda_max + lambda_min), l_opt = 1/omega_opt - inv_m
     = (alpha^2/2)(1/k_star + 1/beta), rho_opt in [0, 1).
+
+    iterations_used is (Schur applies of the Lanczos run, 0): one run
+    serves both ends; the count includes the product that scales the
+    pencil but not the two certificate products. residuals are the
+    relative inv(Mp)-norm eigen-residuals of (lambda_max, lambda_min).
     """
 
     lambda_max: float
@@ -62,6 +64,7 @@ class SpectralEstimates:
     rho_opt: float
     iterations_used: tuple[int, int] | None = None
     converged: bool = True
+    residuals: tuple[float, float] | None = None
 
     def rho(self, omega: float) -> float:
         """Richardson contraction factor for an arbitrary relaxation."""
@@ -71,75 +74,27 @@ class SpectralEstimates:
         )
 
 
-class MatrixPencil:
-    """Explicit symmetric pencil (K, M); M defaults to the identity."""
+class Pencil(NamedTuple):
+    """Symmetric pencil (K, M), M positive definite, as linear operators."""
 
-    def __init__(self, K, M=None):
-        self._K = K
-        self._M = M
-        self._m_solve = None
-        self.size = K.shape[0]
-
-    def apply_k(self, x):
-        return self._K @ x
-
-    def apply_m(self, x):
-        return x if self._M is None else self._M @ x
-
-    def solve_m(self, x):
-        if self._M is None:
-            return x
-        if self._m_solve is None:
-            self._m_solve = factorize(sp.csr_matrix(self._M)).solve
-        return self._m_solve(x)
+    K: spla.LinearOperator
+    M: spla.LinearOperator
+    Minv: spla.LinearOperator
 
 
-class _SchurPencil:
-    """Matrix-free pencil (S, Mp) built on a reduced system."""
+def pencil(apply_k, apply_m, solve_m, size: int) -> Pencil:
+    """Wrap the products with K and M and the solve with M as a Pencil."""
 
-    def __init__(self, system: BiotSystem, inner_tol=None):
-        self._system = system
-        self._inner_tol = inner_tol
-        self.size = system.n_p
+    def op(matvec):
+        return spla.LinearOperator((size, size), matvec=matvec, dtype=float)
 
-    def apply_k(self, x):
-        return schur_apply(self._system, x, self._inner_tol)
-
-    def apply_m(self, x):
-        return self._system.Mp @ x
-
-    def solve_m(self, x):
-        return self._system.m_solve(x)
+    return Pencil(op(apply_k), op(apply_m), op(solve_m))
 
 
-class _ShiftedPencil:
-    """Pencil (shift*M - K, M) built on another pencil."""
-
-    def __init__(self, base, shift: float):
-        self._base = base
-        self._shift = shift
-        self.size = base.size
-
-    def apply_k(self, x):
-        return self._shift * self._base.apply_m(x) - self._base.apply_k(x)
-
-    def apply_m(self, x):
-        return self._base.apply_m(x)
-
-    def solve_m(self, x):
-        return self._base.solve_m(x)
-
-
-def _as_pencil(obj):
-    return obj if hasattr(obj, "apply_k") else _SchurPencil(obj)
-
-
-def schur_apply(system: BiotSystem, p: np.ndarray, inner_tol=None) -> np.ndarray:
+def schur_apply(system: BiotSystem, p: np.ndarray) -> np.ndarray:
     """Apply S = inv_m*Mp + B inv(A) B' without forming it.
 
-    The inner elastic solve uses the cached direct factorization, which
-    satisfies any requested tolerance; inner_tol is accepted for interface
-    compatibility.
+    The inner elastic solve uses the cached direct factorization.
     """
     if p.shape[0] != system.n_p:
         raise ValueError(f"pressure vector has length {p.shape[0]}, expected {system.n_p}")
@@ -149,55 +104,65 @@ def schur_apply(system: BiotSystem, p: np.ndarray, inner_tol=None) -> np.ndarray
     return out
 
 
-def _power_largest(pencil, tol: float, maxit: int, seed: int) -> PowerResult:
-    """Largest eigenvalue of the pencil (K, M) by M-normalized power steps.
+def _extreme_eigs(pen: Pencil, which: str, k: int, tol: float, maxit: int,
+                  seed: int):
+    """Extreme eigenpairs of a pencil by implicitly restarted Lanczos.
 
-    Iterates x <- inv(M) K x and stops once successive Rayleigh quotients
-    x'Kx / x'Mx agree to the relative tolerance.
+    which="BE" with k=2 gives both ends, which="LA" with k=1 the largest.
+    Returns (values, residuals, applies, converged): the eigenvalues in
+    ascending order, their relative inv(M)-norm eigen-residuals, the number
+    of K products taken before the residual check, and whether ARPACK
+    converged with every residual within tol. Pencils too small for ARPACK are solved
+    densely. At the restart cap every end ARPACK did not return is the
+    Rayleigh quotient of the start vector. Raises EstimationError when K
+    vanishes on the start vector.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(pencil.size)
-    nrm = np.sqrt(float(x @ pencil.apply_m(x)))
-    x /= nrm
-    kx = pencil.apply_k(x)
-    rho = float(x @ kx)
-    for step in range(1, maxit + 1):
-        y = pencil.solve_m(kx)
-        ynrm = np.sqrt(max(float(y @ pencil.apply_m(y)), 0.0))
-        if ynrm <= 1e-290:
-            # The operator annihilates the iterate: dominant eigenvalue 0.
-            return PowerResult(0.0, step, True, x)
-        x = y / ynrm
-        kx = pencil.apply_k(x)
-        rho_new = float(x @ kx)
-        if abs(rho_new - rho) <= tol * max(abs(rho_new), 1e-300):
-            return PowerResult(rho_new, step, True, x)
-        rho = rho_new
-    return PowerResult(rho, maxit, False, x)
+    size = pen.K.shape[0]
+    applies = 0
 
+    def apply_k(x):
+        nonlocal applies
+        applies += 1
+        return pen.K.matvec(x)
 
-def power_iteration_max(system, tol: float = 1e-8, maxit: int = 50000,
-                        seed: int = 1) -> PowerResult:
-    """Largest eigenvalue of the Schur pencil (S, Mp).
-
-    Accepts a reduced system or any explicit pencil. When the step cap is
-    reached the best estimate is returned with converged=False.
-    """
-    return _power_largest(_as_pencil(system), tol, maxit, seed)
-
-
-def power_iteration_min(system, lambda_max: float, tol: float = 1e-8,
-                        maxit: int = 50000, seed: int = 1) -> PowerResult:
-    """Smallest eigenvalue of the Schur pencil via the shifted pencil.
-
-    Runs the power iteration on (lambda_max*M - S, M), whose largest
-    eigenvalue is lambda_max - lambda_min.
-    """
-    shifted = _ShiftedPencil(_as_pencil(system), lambda_max)
-    res = _power_largest(shifted, tol, maxit, seed)
-    return PowerResult(lambda_max - res.value, res.steps, res.converged, res.vector)
+    v0 = np.random.default_rng(seed).standard_normal(size)
+    capped = False
+    if size <= k + 1:
+        eye = np.eye(size)
+        K = spla.LinearOperator(pen.K.shape, matvec=apply_k, dtype=float)
+        w, vecs = scipy.linalg.eigh(K @ eye, pen.M @ eye)
+        pick = [0, -1] if which == "BE" else [-1]
+        values, vecs = w[pick], vecs[:, pick]
+    else:
+        rq = float(v0 @ apply_k(v0)) / float(v0 @ pen.M.matvec(v0))
+        if rq == 0.0:
+            raise EstimationError("the operator K of the pencil vanishes")
+        # ARPACK accepts a Ritz value theta once its residual bound is below
+        # tol * max(|theta|, eps**(2/3)); dividing K by the start vector's
+        # Rayleigh quotient brings theta to order one, so that test stays
+        # relative for pencils with tiny eigenvalues such as (S, Mp).
+        scale = abs(rq)
+        K = spla.LinearOperator(pen.K.shape, matvec=lambda x: apply_k(x) / scale,
+                                dtype=float)
+        try:
+            values, vecs = spla.eigsh(K, k=k, M=pen.M, Minv=pen.Minv, which=which,
+                                      tol=tol, maxiter=maxit, v0=v0)
+            values = values * scale
+        except spla.ArpackNoConvergence as exc:
+            capped = True
+            missing = k - len(exc.eigenvalues)
+            values = np.append(exc.eigenvalues * scale, [rq] * missing)
+            vecs = np.column_stack([*exc.eigenvectors.T] + [v0] * missing)
+    order = np.argsort(values)
+    values, vecs = values[order].tolist(), vecs[:, order]
+    residuals = []
+    for lam, v in zip(values, vecs.T):
+        r = pen.Minv.matvec(pen.K.matvec(v)) - lam * v
+        residuals.append(m_norm(pen.M, r) / max(abs(lam) * m_norm(pen.M, v), 1e-300))
+    converged = not capped and all(res <= tol for res in residuals)
+    return values, residuals, applies, converged
 
 
 def estimate_k_star(system, tol: float = 1e-8, maxit: int = 50000,
@@ -205,37 +170,21 @@ def estimate_k_star(system, tol: float = 1e-8, maxit: int = 50000,
     """Sharpest constant k with  u'Au >= k * ||div u||^2  on the free space.
 
     Computed as the reciprocal of the largest eigenvalue of the pencil
-    (Ddiv, A); it is at least the physical drained bulk modulus and depends
-    on the boundary conditions.
+    (Ddiv, A), or of an explicitly given Pencil; it is at least the
+    physical drained bulk modulus and depends on the boundary conditions.
     """
-    if hasattr(system, "apply_k"):
-        pencil = system
+    if isinstance(system, Pencil):
+        pen = system
     else:
-        pencil = _DivPencil(system)
-    res = _power_largest(pencil, tol, maxit, seed)
-    if res.value <= 0.0:
+        pen = pencil(system.Ddiv.__matmul__, system.A.__matmul__, system.a_solve,
+                     system.n_u)
+    (value,), _, _, _ = _extreme_eigs(pen, "LA", 1, tol, maxit, seed)
+    if value <= 0.0:
         raise EstimationError(
             "div-div form vanishes on the displacement space; "
             "the discretization is degenerate"
         )
-    return 1.0 / res.value
-
-
-class _DivPencil:
-    """Pencil (Ddiv, A) on the free displacement space of a system."""
-
-    def __init__(self, system: BiotSystem):
-        self._system = system
-        self.size = system.n_u
-
-    def apply_k(self, x):
-        return self._system.Ddiv @ x
-
-    def apply_m(self, x):
-        return self._system.A @ x
-
-    def solve_m(self, x):
-        return self._system.a_solve(x)
+    return 1.0 / value
 
 
 def estimate_beta(system: BiotSystem, lambda_min: float) -> float:
@@ -260,6 +209,7 @@ def optimal_parameters(
     params: MaterialParams,
     iterations_used: tuple[int, int] | None = None,
     converged: bool = True,
+    residuals: tuple[float, float] | None = None,
 ) -> SpectralEstimates:
     """Derive every tuning quantity from the extreme pencil eigenvalues."""
     if not 0.0 < lambda_min <= lambda_max * (1.0 + 1e-12):
@@ -286,20 +236,30 @@ def optimal_parameters(
         rho_opt=(lambda_max - lambda_min) / (lambda_max + lambda_min),
         iterations_used=iterations_used,
         converged=converged,
+        residuals=residuals,
     )
 
 
 def estimate_spectrum(system: BiotSystem, tol: float = 1e-8,
                       maxit: int = 50000, seed: int = 1) -> SpectralEstimates:
-    """Estimate both extreme eigenvalues and derive the optimal parameters."""
-    res_max = power_iteration_max(system, tol=tol, maxit=maxit, seed=seed)
-    res_min = power_iteration_min(
-        system, res_max.value, tol=tol, maxit=maxit, seed=seed
+    """Estimate both extreme eigenvalues of (S, Mp) in one Lanczos run and
+    derive the optimal parameters.
+
+    tol is the relative eigen-residual every returned pair must meet for
+    the estimate to count as converged, maxit the ARPACK restart cap and
+    seed fixes the start vector. At the cap the best finite estimates are
+    returned with converged=False.
+    """
+    pen = pencil(lambda p: schur_apply(system, p), system.Mp.__matmul__,
+                 system.m_solve, system.n_p)
+    (lam_min, lam_max), (res_min, res_max), applies, converged = _extreme_eigs(
+        pen, "BE", 2, tol, maxit, seed
     )
     return optimal_parameters(
-        res_max.value,
-        res_min.value,
+        lam_max,
+        lam_min,
         system.params,
-        iterations_used=(res_max.steps, res_min.steps),
-        converged=res_max.converged and res_min.converged,
+        iterations_used=(applies, 0),
+        converged=converged,
+        residuals=(res_max, res_min),
     )

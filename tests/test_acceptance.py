@@ -203,20 +203,15 @@ def test_criterion_6_ordering_chain(problem8, params):
 def test_criterion_7_power_iteration_vs_dense(problem4, dense_eigen4):
     system = problem4.system
     w, _ = dense_eigen4
-    res_max = bf.power_iteration_max(system, tol=1e-8, maxit=200000, seed=SEED)
-    res_min = bf.power_iteration_min(
-        system, res_max.value, tol=1e-8, maxit=200000, seed=SEED
-    )
-    gap_max = abs(res_max.value - w[-1]) / w[-1]
-    gap_min = abs(res_min.value - w[0]) / w[0]
-
     fine = bf.estimate_spectrum(system, tol=1e-8, maxit=200000, seed=SEED)
+    gap_max = abs(fine.lambda_max - w[-1]) / w[-1]
+    gap_min = abs(fine.lambda_min - w[0]) / w[0]
     coarse = bf.estimate_spectrum(system, tol=1e-3, maxit=200000, seed=SEED)
     gap_lopt = abs(coarse.l_opt - fine.l_opt) / fine.l_opt
 
     ok = gap_max <= 1e-6 and gap_min <= 1e-6 and gap_lopt <= 0.02
     assert _report(
-        "7 power iteration vs dense oracle",
+        "7 spectral estimator vs dense oracle",
         ok,
         f"lambda_max gap {gap_max:.3e}, lambda_min gap {gap_min:.3e} (<=1e-6); "
         f"coarse-vs-fine l_opt gap {gap_lopt:.3e} (<=0.02)",

@@ -36,6 +36,8 @@ def test_estimate_report_structure_and_roundtrip(small_cfg):
     assert entry["d_opt"] == pytest.approx(
         small_cfg.material.alpha**2 / entry["l_opt"], rel=1e-15
     )
+    assert entry["converged"] is True
+    assert all(type(r) is float and r <= 1e-8 for r in entry["residuals"])
     again = json.loads(json.dumps(report))
     assert again == report
 
@@ -49,16 +51,16 @@ def test_estimate_coarse_close_to_fine(small_cfg):
 def test_estimate_degenerate_spectrum_reports_zero_rho(params):
     # A proportional pencil has a flat spectrum, so the contraction factor
     # at the optimum is zero.
-    from biotfs.spectral import MatrixPencil
-    import scipy.sparse as sp
+    from biotfs.spectral import _extreme_eigs
 
     rng = np.random.default_rng(23)
     a = rng.standard_normal((6, 6))
     M = a @ a.T + 6 * np.eye(6)
-    pencil = MatrixPencil(sp.csr_matrix(2.0 * M), sp.csr_matrix(M))
-    res_max = bf.power_iteration_max(pencil, tol=1e-12, maxit=100, seed=0)
-    res_min = bf.power_iteration_min(pencil, res_max.value, tol=1e-12, maxit=100, seed=0)
-    est = bf.optimal_parameters(res_max.value, max(res_min.value, 1e-300), params)
+    pen = bf.pencil(
+        (2.0 * M).__matmul__, M.__matmul__, lambda x: np.linalg.solve(M, x), 6
+    )
+    (low, high), _, _, _ = _extreme_eigs(pen, "BE", 2, 1e-12, 100, 0)
+    est = bf.optimal_parameters(high, max(low, 1e-300), params)
     assert est.rho_opt <= 1e-10
 
 
