@@ -191,3 +191,14 @@ def test_matrix_market_round_trip(tmp_path, params):
     back = bf.load_matrix_market(path)
     assert back.shape == system.A.shape
     assert abs(back - system.A).max() <= 1e-12 * abs(system.A).max()
+
+
+def test_factorize_fill_at_n16(params):
+    # SuperLU's default COLAMD ordering leaves 187,432 nonzeros in L+U
+    # here; minimum degree on A + A' leaves 142,848.
+    A = bf.build_problem(16, params, sources=None).system.A
+    F = bf.factorize(A)
+    assert F._lu.L.nnz + F._lu.U.nnz <= 150_000
+    b = np.random.default_rng(16).standard_normal(A.shape[0])
+    x = F.solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -258,3 +260,31 @@ def test_iteration_counts_minimal_at_optimal(problem8, params):
             prob, bf.SolverConfig(L=params.alpha**2 / d), grid
         ).average
         assert opt <= avg + 1e-12
+
+
+def test_time_march_concurrent_l_values_match_serial(params):
+    # The README claims distinct stabilization values can be solved
+    # concurrently against one assembled system. Four workers and a short
+    # switch interval interleave the shared factor solves as much as the
+    # interpreter allows.
+    prob = bf.build_problem(8, params, sources="manufactured")
+    prob.system.prepare()
+    est = bf.estimate_spectrum(prob.system, tol=1e-8, seed=1)
+    grid = bf.TimeGrid(t0=0.0, tau=0.1, t_end=1.0)
+    configs = [bf.SolverConfig(L=f * est.l_opt) for f in (0.8, 1.0, 1.3, 2.0)]
+    serial = [bf.time_march(prob, cfg, grid) for cfg in configs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(bf.time_march, prob, cfg, grid) for cfg in configs]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+    for s_res, t_res in zip(serial, threaded):
+        assert t_res.counts == s_res.counts
+        assert t_res.converged_flags == s_res.converged_flags
+        assert np.array_equal(t_res.u, s_res.u)
+        assert np.array_equal(t_res.p, s_res.p)

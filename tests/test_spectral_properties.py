@@ -25,7 +25,7 @@ def materials(draw):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(params=materials(), n=st.integers(2, 6), seed=st.integers(0, 2**31))
+@given(params=materials(), n=st.integers(2, 10), seed=st.integers(0, 2**31))
 def test_estimates_hold_invariants_and_match_dense(params, n, seed):
     system = bf.build_problem(n, params, sources=None).system.prepare()
     est = bf.estimate_spectrum(system, tol=1e-8, seed=seed)
