@@ -68,6 +68,7 @@ from .solver import (
     monolithic_solve,
     richardson_step,
     schur_rhs,
+    step_loads,
     time_march,
 )
 from .spectral import (

@@ -40,6 +40,7 @@ from .solver import (
     monolithic_solve,
     richardson_step,
     schur_rhs,
+    step_loads,
     time_march,
 )
 from .spectral import (
@@ -258,22 +259,6 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def _loaded_system(problem: TransientProblem, tau: float):
-    """System carrying first-step loads of the built-in sources."""
-    from .assembly import assemble_momentum_load, assemble_source_moment
-
-    t = tau
-    sys_run = dataclasses.replace(problem.system)
-    sys_run.f = assemble_momentum_load(
-        problem.mesh, problem.dofs, problem.body_force, t
-    )[problem.dofs.free_u]
-    moment = assemble_source_moment(
-        problem.mesh, problem.dofs, problem.fluid_source, t
-    )
-    sys_run.g = tau * moment[problem.dofs.free_p]
-    return sys_run
-
-
 def verify_report(cfg: ExperimentConfig) -> dict:
     """Dense-oracle verification battery on small meshes.
 
@@ -332,8 +317,11 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     checks.append(Check.le("schur_symmetry_n4", sym_err / scale, 1e-10))
 
     # Richardson equivalence and contraction on a slightly larger mesh.
+    # The system carries the first-step loads of the built-in sources.
     prob8 = build_problem(8, params, sources="manufactured")
-    sys8 = _loaded_system(prob8, cfg.temporal.tau)
+    tau = cfg.temporal.tau
+    sys8 = dataclasses.replace(prob8.system)
+    sys8.f, sys8.g = step_loads(prob8, tau, tau, np.zeros(sys8.n_u), np.zeros(sys8.n_p))
     sys8.prepare()
     s8 = dense_schur(sys8)
     mp8 = sys8.Mp.toarray()

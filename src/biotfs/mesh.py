@@ -103,7 +103,11 @@ def build_structured_mesh(n: int) -> Mesh:
         ]
     )
     raw.sort(axis=1)
-    edges = np.unique(raw, axis=0)
+    # Sorted rows with 0 <= b < nv make a*nv + b a key in the lexicographic
+    # order of (a, b), so the 1-D unique returns the edges in that order.
+    nv = vertices.shape[0]
+    keys = np.unique(raw[:, 0] * nv + raw[:, 1])
+    edges = np.column_stack(np.divmod(keys, nv))
 
     return Mesh(n=n, vertices=vertices, triangles=triangles, edges=edges)
 

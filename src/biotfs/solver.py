@@ -286,6 +286,27 @@ class TimeMarchResult:
         return not all(self.converged_flags)
 
 
+def step_loads(
+    problem: TransientProblem, t: float, tau: float, u: np.ndarray, p: np.ndarray
+):
+    """Reduced loads (f, g) of the implicit Euler step that ends at time t.
+
+    u and p are the reduced state of the previous step. f is the body-force
+    moment on the free displacement dofs and
+    g = B u + inv_m * Mp p + tau * (source moment) on the interior pressure
+    dofs.
+    """
+    system, dofs = problem.system, problem.dofs
+    f = assemble_momentum_load(problem.mesh, dofs, problem.body_force, t)[dofs.free_u]
+    g = system.B @ u
+    if problem.params.inv_m != 0.0:
+        g = g + problem.params.inv_m * (system.Mp @ p)
+    if problem.fluid_source is not None:
+        moment = assemble_source_moment(problem.mesh, dofs, problem.fluid_source, t)
+        g = g + tau * moment[dofs.free_p]
+    return f, g
+
+
 def time_march(
     problem: TransientProblem, config: SolverConfig, grid: TimeGrid
 ) -> TimeMarchResult:
@@ -297,22 +318,13 @@ def time_march(
     stops at the first non-convergent step.
     """
     base = problem.system.prepare()
-    params = problem.params
     sys_step = replace(base)
     u = np.zeros(base.n_u)
     p = np.zeros(base.n_p)
     counts, flags = [], []
     times = grid.times()
     for t in times:
-        f_full = assemble_momentum_load(problem.mesh, problem.dofs, problem.body_force, t)
-        g = base.B @ u
-        if params.inv_m != 0.0:
-            g = g + params.inv_m * (base.Mp @ p)
-        if problem.fluid_source is not None:
-            moment = assemble_source_moment(problem.mesh, problem.dofs, problem.fluid_source, t)
-            g = g + grid.tau * moment[problem.dofs.free_p]
-        sys_step.f = f_full[problem.dofs.free_u]
-        sys_step.g = g
+        sys_step.f, sys_step.g = step_loads(problem, t, grid.tau, u, p)
         u, p, trace = fixed_stress_solve(sys_step, config, u_init=u, p_init=p)
         counts.append(trace.iterations if trace.converged else config.max_iter)
         flags.append(trace.converged)

@@ -19,11 +19,9 @@ def _loaded_problem(n, params, t=0.1, tau=0.1):
     """Problem with first-step loads of the built-in sources applied."""
     prob = bf.build_problem(n, params, sources="manufactured")
     sys_run = dataclasses.replace(prob.system)
-    sys_run.f = bf.assemble_momentum_load(prob.mesh, prob.dofs, prob.body_force, t)[
-        prob.dofs.free_u
-    ]
-    moment = bf.assemble_source_moment(prob.mesh, prob.dofs, prob.fluid_source, t)
-    sys_run.g = tau * moment[prob.dofs.free_p]
+    sys_run.f, sys_run.g = bf.step_loads(
+        prob, t, tau, np.zeros(sys_run.n_u), np.zeros(sys_run.n_p)
+    )
     sys_run.prepare()
     prob.system = sys_run
     return prob

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import biotfs as bf
-from biotfs.elements import TRIANGLE_QUAD_POINTS, TRIANGLE_QUAD_WEIGHTS
+from biotfs.assembly import _p2_physical_gradients
+from biotfs.elements import TRIANGLE_QUAD_POINTS, TRIANGLE_QUAD_WEIGHTS, p2_gradients
 from biotfs.mesh import Mesh
 
 from oracles import (
@@ -11,6 +12,7 @@ from oracles import (
     integrate_reference,
     integrate_triangle,
     p1_value,
+    p2_value,
 )
 
 
@@ -286,13 +288,17 @@ def test_flow_rhs_unit_source_vs_quadrature_oracle(params):
         assert abs(g[row] - 0.1 * total) <= 1e-13
 
 
-def _hat_on_triangle(x, y, local, verts):
-    # barycentric coordinate of vertex `local` on the triangle
+def _reference_coords(x, y, verts):
+    # reference coordinates (barycentric l1, l2) of (x, y) on the triangle
     v0, v1, v2 = verts
     det = (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (v1[1] - v0[1])
     l1 = ((x - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (y - v0[1])) / det
     l2 = ((v1[0] - v0[0]) * (y - v0[1]) - (x - v0[0]) * (v1[1] - v0[1])) / det
-    return p1_value(local, l1, l2)
+    return l1, l2
+
+
+def _hat_on_triangle(x, y, local, verts):
+    return p1_value(local, *_reference_coords(x, y, verts))
 
 
 def test_flow_rhs_constant_divergence(params):
@@ -333,6 +339,48 @@ def test_flow_rhs_matches_reduced_fast_path(params):
         mesh, dofs, params, u_prev=u_full, p_prev=None, t=t, tau=tau, source=fluid
     )
     assert np.abs(fast - reference).max() <= 1e-13 * max(np.abs(reference).max(), 1.0)
+
+
+def test_momentum_load_vs_per_triangle_quadrature_oracle():
+    # n=3: h = 1/3 is not exact in binary. The two components differ, so a
+    # swapped x/y interleave fails. Quadratic forces keep every integrand
+    # within the degree-4 rule.
+    mesh = bf.build_structured_mesh(3)
+    dofs = bf.build_taylor_hood_dofs(mesh)
+
+    def force(x, y, t):
+        return t * (1.0 + x * y - y * y), t * (2.0 - x + 3.0 * x * x)
+
+    vec = bf.assemble_momentum_load(mesh, dofs, force, 0.7)
+    oracle = np.zeros(dofs.num_displacement_dofs)
+    for tri, nodes in zip(mesh.triangles, dofs.tri_nodes):
+        verts = mesh.vertices[tri]
+        for local, node in enumerate(nodes):
+            for comp in range(2):
+                oracle[2 * node + comp] += integrate_triangle(
+                    lambda x, y, i=local, c=comp: force(x, y, 0.7)[c]
+                    * p2_value(i, *_reference_coords(x, y, verts)),
+                    *verts,
+                )
+    scale = np.abs(oracle).max()
+    assert np.abs(vec[0::2] - oracle[0::2]).max() <= 1e-13 * scale
+    assert np.abs(vec[1::2] - oracle[1::2]).max() <= 1e-13 * scale
+    assert np.abs(oracle[0::2] - oracle[1::2]).max() > 0.1 * scale
+
+
+def test_p2_physical_gradients_vs_per_element_product():
+    mesh = bf.build_structured_mesh(3)
+    pg, det = _p2_physical_gradients(mesh)
+    ref = p2_gradients(TRIANGLE_QUAD_POINTS)
+    expected = np.empty_like(pg)
+    for e, tri in enumerate(mesh.triangles):
+        v0, v1, v2 = mesh.vertices[tri]
+        inv_jt = np.linalg.inv(np.column_stack([v1 - v0, v2 - v0])).T
+        for q in range(ref.shape[0]):
+            for i in range(6):
+                expected[e, q, i] = inv_jt @ ref[q, i]
+    assert np.abs(pg - expected).max() <= 1e-15 * np.abs(expected).max()
+    assert np.allclose(det, 1.0 / 9.0, rtol=1e-15, atol=0.0)
 
 
 def test_manufactured_sources_profile(params):

@@ -64,6 +64,23 @@ def test_edge_triangle_incidence():
         assert c == (1 if on_boundary else 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+def test_edges_lexicographic_and_equal_to_row_unique(n):
+    # build_taylor_hood_dofs maps triangle edges to midpoints by a
+    # searchsorted on the edge table, which needs strictly increasing
+    # lexicographic order, not only the right set.
+    m = bf.build_structured_mesh(n)
+    raw = np.vstack([m.triangles[:, [a, b]] for a, b in ((0, 1), (1, 2), (2, 0))])
+    raw.sort(axis=1)
+    assert np.array_equal(m.edges, np.unique(raw, axis=0))
+    first, second = m.edges[:-1], m.edges[1:]
+    increasing = (first[:, 0] < second[:, 0]) | (
+        (first[:, 0] == second[:, 0]) & (first[:, 1] < second[:, 1])
+    )
+    assert increasing.all()
+    assert np.all(m.edges[:, 0] < m.edges[:, 1])
+
+
 def test_bit_determinism():
     m1 = bf.build_structured_mesh(6)
     m2 = bf.build_structured_mesh(6)
