@@ -37,12 +37,10 @@ from .linalg import (
     ConvergenceError,
     Factorization,
     FactorizationError,
-    cg_solve,
     dense_generalized_symmetric_eigen,
     factorize,
     load_matrix_market,
     m_norm,
-    matvec,
     save_matrix_market,
 )
 from .mesh import (

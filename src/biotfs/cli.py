@@ -135,7 +135,7 @@ def cmd_sweep(args) -> int:
     ns = _mesh_selection(cfg, args)
     if args.dump_matrices:
         _dump(cfg, ns, args.dump_matrices)
-    report = sweep_report(cfg, mesh_ns=ns)
+    report = sweep_report(cfg, mesh_ns=ns, mode=args.mode, seed=args.seed)
     csv_text = report.to_csv_text()
     if args.out is None:
         sys.stdout.write(csv_text)

@@ -76,7 +76,6 @@ class ExperimentConfig:
     mesh_ns: tuple
     eps_r: float = 1e-6
     max_iter: int = 1000
-    inner_tol: float = 1e-12  # no-op (direct inner solves); feeds config_hash
     L: object = "optimal"  # float or the string "optimal"
     sources: str = "manufactured"  # or "zero"
     sweep: SweepGrid = SweepGrid(0.6e11, 1.6e11, 31)
@@ -97,7 +96,7 @@ _SCHEMA = {
     "material": {"mu", "lambda", "alpha", "inv_m", "kappa"},
     "temporal": {"t0", "tau", "t_end"},
     "mesh": {"n"},
-    "solver": {"eps_r", "max_iter", "inner_tol", "L", "sources"},
+    "solver": {"eps_r", "max_iter", "L", "sources"},
     "sweep": {"d_min", "d_max", "count"},
     "spectral": {"mode", "tol", "maxit", "seed"},
 }
@@ -200,7 +199,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 cfg,
                 eps_r=_get_float(sec, "eps_r", cfg.eps_r),
                 max_iter=_get_int(sec, "max_iter", cfg.max_iter),
-                inner_tol=_get_float(sec, "inner_tol", cfg.inner_tol),
                 L=L,
                 sources=sources,
             )
@@ -272,7 +270,6 @@ def canonical_text(cfg: ExperimentConfig) -> str:
         ("mesh.n", " ".join(str(n) for n in cfg.mesh_ns)),
         ("solver.eps_r", repr(cfg.eps_r)),
         ("solver.max_iter", str(cfg.max_iter)),
-        ("solver.inner_tol", repr(cfg.inner_tol)),
         ("solver.L", cfg.L if isinstance(cfg.L, str) else repr(cfg.L)),
         ("solver.sources", cfg.sources),
         ("sweep.d_min", repr(sw.d_min)),

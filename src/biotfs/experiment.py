@@ -45,7 +45,6 @@ from .solver import (
 )
 from .spectral import (
     SpectralEstimates,
-    estimate_beta,
     estimate_k_star,
     estimate_spectrum,
     optimal_parameters,
@@ -118,9 +117,7 @@ def solve_report(cfg: ExperimentConfig, n: int, L_spec=None,
     else:
         L = float(L_spec)
         l_mode = "fixed"
-    solver = SolverConfig(
-        L=L, eps_r=cfg.eps_r, max_iter=cfg.max_iter, inner_tol=cfg.inner_tol
-    )
+    solver = SolverConfig(L=L, eps_r=cfg.eps_r, max_iter=cfg.max_iter)
     result = time_march(problem, solver, cfg.temporal)
     steps = [
         {"index": i + 1, "t": float(t), "iterations": int(c), "converged": bool(ok)}
@@ -187,11 +184,14 @@ class SweepReport:
         }
 
 
-def sweep_report(cfg: ExperimentConfig, mesh_ns=None) -> SweepReport:
+def sweep_report(cfg: ExperimentConfig, mesh_ns=None, mode: str | None = None,
+                 seed: int | None = None) -> SweepReport:
     """Run the stabilization sweep over every (mesh, D) pair.
 
-    Rows never abort the sweep: a non-convergent or failed row is recorded
-    with the iteration cap as its average and the divergence flag set.
+    mode and seed override the spectral settings of the per-mesh estimates,
+    as in estimate_report. Rows never abort the sweep: a non-convergent or
+    failed row is recorded with the iteration cap as its average and the
+    divergence flag set.
     """
     ns = tuple(mesh_ns) if mesh_ns else cfg.mesh_ns
     alpha = cfg.material.alpha
@@ -200,14 +200,12 @@ def sweep_report(cfg: ExperimentConfig, mesh_ns=None) -> SweepReport:
     d_opts = {}
     for n in sorted(ns):
         problem = _problem(cfg, n)
-        est = _estimates(cfg, problem)
+        est = _estimates(cfg, problem, mode=mode, seed=seed)
         estimates[n] = est
         d_opts[n] = alpha**2 / est.l_opt
         for d_value in cfg.sweep.values():
             L = float(alpha**2 / d_value)
-            solver = SolverConfig(
-                L=L, eps_r=cfg.eps_r, max_iter=cfg.max_iter, inner_tol=cfg.inner_tol
-            )
+            solver = SolverConfig(L=L, eps_r=cfg.eps_r, max_iter=cfg.max_iter)
             try:
                 result = time_march(problem, solver, cfg.temporal)
                 avg = result.average

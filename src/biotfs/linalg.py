@@ -1,9 +1,10 @@
 """Sparse and dense linear algebra helpers.
 
-CSR storage, factorizations and the dense generalized eigensolver are backed
-by scipy; conjugate gradients is implemented here so iterative and direct
-solves stay independent of each other. The dense eigensolver is only ever
-used at oracle scale (a few thousand unknowns).
+CSR storage, factorizations, the energy norm, the dense generalized
+eigensolver and Matrix Market I/O, all backed by scipy. The iterative
+solves live with their operators: Lanczos in `spectral`, the Schur
+complement CG in `solver.monolithic_solve`. The dense eigensolver is only
+ever used at oracle scale (a few thousand unknowns).
 
 Sparse SPD factors are SuperLU's under the multiple minimum degree ordering
 of A + A' (Liu, ACM TOMS 1985), which is 2A since `factorize` takes only
@@ -24,23 +25,7 @@ class FactorizationError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve ran out of iterations.
-
-    Carries the final relative residual and the best iterate reached.
-    """
-
-    def __init__(self, message, residual=None, iterations=None, best=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-        self.best = best
-
-
-def matvec(A, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with an explicit dimension check."""
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} @ {x.shape}")
-    return A @ x
+    """An iterative solve stopped short of its tolerance."""
 
 
 def m_norm(M, x: np.ndarray) -> float:
@@ -85,63 +70,6 @@ def factorize(A) -> Factorization:
     except RuntimeError as exc:  # singular pivot
         raise FactorizationError(f"factorization failed: {exc}") from exc
     return Factorization(lu, A.shape)
-
-
-def cg_solve(A, b: np.ndarray, tol: float = 1e-12, maxit: int | None = None,
-             x0: np.ndarray | None = None) -> np.ndarray:
-    """Conjugate gradients for an SPD operator.
-
-    Parameters
-    ----------
-    A : sparse matrix or callable
-        The operator; a callable must map a vector to A @ vector.
-    b : ndarray
-        Right-hand side.
-    tol : float
-        Relative Euclidean residual target ||Ax - b|| <= tol * ||b||.
-    maxit : int, optional
-        Iteration cap, defaults to 10 * len(b).
-
-    Raises
-    ------
-    ConvergenceError
-        If the cap is reached; the error carries the best iterate.
-    """
-    apply_a = A if callable(A) else (lambda v: A @ v)
-    n = b.shape[0]
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros(n)
-    if maxit is None:
-        maxit = 10 * n
-
-    x = np.zeros(n) if x0 is None else x0.astype(float).copy()
-    r = b - apply_a(x) if x0 is not None else b.copy()
-    d = r.copy()
-    rr = float(r @ r)
-    best_x, best_res = x.copy(), np.sqrt(rr) / bnorm
-    for _ in range(maxit):
-        if np.sqrt(rr) <= tol * bnorm:
-            return x
-        ad = apply_a(d)
-        alpha = rr / float(d @ ad)
-        x = x + alpha * d
-        r = r - alpha * ad
-        rr_new = float(r @ r)
-        res = np.sqrt(rr_new) / bnorm
-        if res < best_res:
-            best_x, best_res = x.copy(), res
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-    if np.sqrt(rr) <= tol * bnorm:
-        return x
-    raise ConvergenceError(
-        f"cg did not reach tol={tol:g} within {maxit} iterations "
-        f"(residual {best_res:.3e})",
-        residual=best_res,
-        iterations=maxit,
-        best=best_x,
-    )
 
 
 def dense_generalized_symmetric_eigen(S, M):

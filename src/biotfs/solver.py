@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from .assembly import (
     BiotSystem,
@@ -27,7 +27,7 @@ from .assembly import (
     build_system,
     manufactured_sources,
 )
-from .linalg import cg_solve, m_norm
+from .linalg import ConvergenceError, m_norm
 from .mesh import DofMap, Mesh, build_structured_mesh, build_taylor_hood_dofs
 from .spectral import schur_apply
 
@@ -45,15 +45,13 @@ class SolverConfig:
 
     L is the stabilization parameter (1/Pa); it must be positive for
     incompressible fluids (inv_m = 0). eps_r is the relative increment
-    tolerance in the energy norms and max_iter the per-step cap. inner_tol
-    is a no-op: the inner elastic solves are direct. It is kept because
-    configuration files set it and it feeds the configuration hash.
+    tolerance in the energy norms and max_iter the per-step cap. The inner
+    elastic and flow solves are direct.
     """
 
     L: float
     eps_r: float = 1e-6
     max_iter: int = 1000
-    inner_tol: float = 1e-12
 
     def __post_init__(self):
         if self.L < 0.0:
@@ -174,21 +172,16 @@ def schur_rhs(system: BiotSystem) -> np.ndarray:
 
 
 def richardson_step(
-    system: BiotSystem,
-    p_prev: np.ndarray,
-    omega: float,
-    g_tilde: np.ndarray | None = None,
+    system: BiotSystem, p_prev: np.ndarray, omega: float, g_tilde: np.ndarray
 ) -> np.ndarray:
     """Relaxed Richardson update on the pressure Schur complement.
 
     p_next = p_prev + omega * inv(Mp) (g_tilde - S p_prev), with S applied
-    matrix-free. Pass a precomputed g_tilde to avoid one elastic solve per
-    call.
+    matrix-free and g_tilde = schur_rhs(system) computed once by the caller.
     """
     if omega < 0.0:
         raise ValueError(f"omega must be nonnegative, got {omega}")
-    gt = schur_rhs(system) if g_tilde is None else g_tilde
-    residual = gt - schur_apply(system, p_prev)
+    residual = g_tilde - schur_apply(system, p_prev)
     return p_prev + omega * system.m_solve(residual)
 
 
@@ -202,22 +195,26 @@ def dense_schur(system: BiotSystem) -> np.ndarray:
     return s
 
 
-def monolithic_solve(system: BiotSystem, dense_limit: int = 1500):
-    """Solve the coupled block system directly via the pressure Schur
+def monolithic_solve(system: BiotSystem):
+    """Solve the coupled block system exactly via the pressure Schur
     complement.
 
-    Small pressure spaces form the Schur complement densely and use a
-    Cholesky solve; larger ones fall back to conjugate gradients on the
-    matrix-free operator. The relative block residual is at most ~1e-10 for
-    well-conditioned systems.
+    Runs conjugate gradients on S p = g_tilde with S applied matrix-free and
+    the pressure mass matrix Mp as the preconditioner; the pencil (S, Mp) is
+    well conditioned at every mesh size, so this is one path for all of
+    them. The displacement then follows from one elastic solve. Raises
+    ConvergenceError if CG stops short of its 1e-13 relative residual.
     """
-    gt = schur_rhs(system)
-    if system.n_p <= dense_limit:
-        s = dense_schur(system)
-        cho = scipy.linalg.cho_factor(s)
-        p = scipy.linalg.cho_solve(cho, gt)
-    else:
-        p = cg_solve(lambda v: schur_apply(system, v), gt, tol=1e-13)
+    n_p = system.n_p
+    s_op = spla.LinearOperator((n_p, n_p), matvec=lambda v: schur_apply(system, v),
+                               dtype=float)
+    m_op = spla.LinearOperator((n_p, n_p), matvec=system.m_solve, dtype=float)
+    p, info = spla.cg(s_op, schur_rhs(system), rtol=1e-13, atol=0.0,
+                      maxiter=10 * n_p, M=m_op)
+    if info != 0:
+        raise ConvergenceError(
+            f"Schur CG stopped with info={info} before a 1e-13 relative residual"
+        )
     u = system.a_solve(system.f + system.B.T @ p)
     return u, p
 

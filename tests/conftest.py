@@ -38,6 +38,11 @@ def problem8(params):
 
 
 @pytest.fixture(scope="session")
+def problem16(params):
+    return _loaded_problem(16, params)
+
+
+@pytest.fixture(scope="session")
 def dense_eigen8(problem8):
     """Dense Schur pencil eigendata on the n=8 problem."""
     s = bf.dense_schur(problem8.system)

@@ -64,6 +64,11 @@ def test_unknown_key_rejected():
         parse_config("[material]\nnu = 0.3\n")
 
 
+def test_removed_inner_tol_key_rejected():
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("[solver]\ninner_tol = 1e-12\n")
+
+
 def test_bad_values_name_the_field():
     with pytest.raises(ConfigError, match=r"\[material\] mu"):
         parse_config("[material]\nmu = abc\n")

@@ -222,6 +222,22 @@ def test_cli_sweep_outputs(tmp_path, capsys):
     assert sidecar["schema"] == "biotfs.sweep/1"
 
 
+def test_cli_sweep_seed_matches_config_seed(tmp_path, capsys):
+    grid = "[mesh]\nn = 4\n[sweep]\nd_min = 1.0e11\nd_max = 1.3e11\ncount = 2\n"
+    flag_cfg = _write_cfg(tmp_path, grid)
+    file_dir = tmp_path / "file"
+    file_dir.mkdir()
+    file_cfg = _write_cfg(file_dir, grid + "[spectral]\nseed = 7\n")
+    by_flag = tmp_path / "flag.csv"
+    by_file = tmp_path / "file.csv"
+    assert main(["sweep", "--config", str(flag_cfg), "--seed", "7", "--out", str(by_flag)]) == 0
+    assert main(["sweep", "--config", str(file_cfg), "--out", str(by_file)]) == 0
+    flag_doc = json.loads((tmp_path / "flag.csv.json").read_text())
+    file_doc = json.loads((tmp_path / "file.csv.json").read_text())
+    assert flag_doc["estimates"] == file_doc["estimates"]
+    assert by_flag.read_bytes() == by_file.read_bytes()
+
+
 def test_cli_verify_exit_code_reflects_battery(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "verify.json"

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import biotfs as bf
 from oracles import dense_block_solve, dense_fixed_stress_step
@@ -164,12 +165,25 @@ def test_monolithic_block_residual(problem8):
     assert resid <= 1e-10
 
 
-def test_monolithic_matches_dense_block_oracle(problem8):
-    system = problem8.system
+@pytest.mark.parametrize("n", [8, 16])
+def test_monolithic_matches_dense_block_oracle(request, n):
+    system = request.getfixturevalue(f"problem{n}").system
     u, p = bf.monolithic_solve(system)
     u_o, p_o, _, _ = dense_block_solve(system)
     assert np.abs(p - p_o).max() <= 1e-9 * np.abs(p_o).max()
     assert np.abs(u - u_o).max() <= 1e-9 * np.abs(u_o).max()
+
+
+def test_monolithic_singular_schur_raises(problem4, params):
+    # B = 0 with inv_m = 0 makes S = 0; the Schur CG must fail loudly
+    # instead of returning a non-finite pressure.
+    assert params.inv_m == 0.0
+    system = dataclasses.replace(
+        problem4.system, B=sp.csr_matrix(problem4.system.B.shape)
+    )
+    assert np.linalg.norm(system.g) > 0.0
+    with np.errstate(all="ignore"), pytest.raises(bf.ConvergenceError):
+        bf.monolithic_solve(system)
 
 
 def test_monolithic_pressure_solves_schur_system(problem8):
@@ -190,7 +204,6 @@ def test_contraction_bound_with_dense_rates(problem8, dense_eigen8, params):
     _, p_star = bf.monolithic_solve(system)
     gt = bf.schur_rhs(system)
     rng = np.random.default_rng(31)
-    inner_tol = 1e-12
     for omega in (0.5 * est.omega_opt, est.omega_opt):
         rho = est.rho(omega)
         err = rng.standard_normal(system.n_p)
@@ -200,7 +213,7 @@ def test_contraction_bound_with_dense_rates(problem8, dense_eigen8, params):
         for _ in range(50):
             p_it = bf.richardson_step(system, p_it, omega, g_tilde=gt)
             cur = bf.m_norm(system.Mp, p_it - p_star)
-            assert cur <= (rho + 10 * inner_tol) * prev + 1e-13 * prev
+            assert cur <= (rho + 10 * 1e-12) * prev + 1e-13 * prev
             prev = cur
 
 
