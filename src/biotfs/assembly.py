@@ -79,7 +79,10 @@ class BiotSystem:
 
     A, Ddiv act on the free displacement dofs, Mp on the interior pressure
     dofs and B maps free displacements to interior pressures. f and g are
-    the current momentum and flow loads; g changes every time step.
+    the current momentum and flow loads; g changes every time step. The
+    factors of A and Mp and the CSR transpose Bt = B' are built once, on
+    first use or by `prepare()`, and `dataclasses.replace` copies share
+    them; Bt is rebuilt if B is replaced.
     """
 
     A: sp.csr_matrix
@@ -93,6 +96,7 @@ class BiotSystem:
     free_p: np.ndarray
     _a_factor: Factorization | None = field(default=None, repr=False, compare=False)
     _m_factor: Factorization | None = field(default=None, repr=False, compare=False)
+    _bt: tuple | None = field(default=None, repr=False, compare=False)  # (B, B')
 
     @property
     def n_u(self) -> int:
@@ -103,10 +107,18 @@ class BiotSystem:
         return self.Mp.shape[0]
 
     def prepare(self) -> "BiotSystem":
-        """Force both factorizations so copies share them."""
+        """Force both factorizations and B' so copies share them."""
         self.a_solve
         self.m_solve
+        self.Bt
         return self
+
+    @property
+    def Bt(self) -> sp.csr_matrix:
+        """B' as CSR; its products are bitwise equal to `B.T @ p`."""
+        if self._bt is None or self._bt[0] is not self.B:
+            self._bt = (self.B, self.B.T.tocsr())
+        return self._bt[1]
 
     @property
     def a_solve(self):

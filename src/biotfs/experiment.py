@@ -57,13 +57,20 @@ def _problem(cfg: ExperimentConfig, n: int) -> TransientProblem:
     return build_problem(n, cfg.material, sources=sources)
 
 
-def _estimates(cfg: ExperimentConfig, problem: TransientProblem,
-               mode: str | None = None, seed: int | None = None) -> SpectralEstimates:
+def _with_overrides(cfg: ExperimentConfig, mode: str | None,
+                    seed: int | None) -> ExperimentConfig:
+    """cfg with the CLI's spectral --mode/--seed overrides applied, so that
+    a report's config_hash covers the settings its estimates used."""
     spc = cfg.spectral
     if mode is not None:
         spc = dataclasses.replace(spc, mode=mode, tol=None)
     if seed is not None:
         spc = dataclasses.replace(spc, seed=seed)
+    return dataclasses.replace(cfg, spectral=spc)
+
+
+def _estimates(cfg: ExperimentConfig, problem: TransientProblem) -> SpectralEstimates:
+    spc = cfg.spectral
     return estimate_spectrum(
         problem.system, tol=spc.resolved_tol, maxit=spc.maxit, seed=spc.seed
     )
@@ -90,17 +97,18 @@ def estimates_to_dict(n: int, est: SpectralEstimates, alpha: float) -> dict:
 def estimate_report(cfg: ExperimentConfig, mesh_ns=None, mode: str | None = None,
                     seed: int | None = None) -> dict:
     """Spectral estimates and derived parameters for every requested mesh."""
+    cfg = _with_overrides(cfg, mode, seed)
     ns = tuple(mesh_ns) if mesh_ns else cfg.mesh_ns
     meshes = []
     for n in ns:
         problem = _problem(cfg, n)
-        est = _estimates(cfg, problem, mode=mode, seed=seed)
+        est = _estimates(cfg, problem)
         meshes.append(estimates_to_dict(n, est, cfg.material.alpha))
     return {
         "schema": "biotfs.estimate/1",
         "version": __version__,
         "config_hash": config_hash(cfg),
-        "mode": mode or cfg.spectral.mode,
+        "mode": cfg.spectral.mode,
         "meshes": meshes,
     }
 
@@ -108,10 +116,11 @@ def estimate_report(cfg: ExperimentConfig, mesh_ns=None, mode: str | None = None
 def solve_report(cfg: ExperimentConfig, n: int, L_spec=None,
                  mode: str | None = None, seed: int | None = None) -> dict:
     """Time-march one mesh at a fixed or estimator-chosen stabilization."""
+    cfg = _with_overrides(cfg, mode, seed)
     problem = _problem(cfg, n)
     L_spec = cfg.L if L_spec is None else L_spec
     if L_spec == "optimal":
-        est = _estimates(cfg, problem, mode=mode, seed=seed)
+        est = _estimates(cfg, problem)
         L = est.l_opt
         l_mode = "optimal"
     else:
@@ -193,6 +202,7 @@ def sweep_report(cfg: ExperimentConfig, mesh_ns=None, mode: str | None = None,
     failed row is recorded with the iteration cap as its average and the
     divergence flag set.
     """
+    cfg = _with_overrides(cfg, mode, seed)
     ns = tuple(mesh_ns) if mesh_ns else cfg.mesh_ns
     alpha = cfg.material.alpha
     rows = []
@@ -200,7 +210,7 @@ def sweep_report(cfg: ExperimentConfig, mesh_ns=None, mode: str | None = None,
     d_opts = {}
     for n in sorted(ns):
         problem = _problem(cfg, n)
-        est = _estimates(cfg, problem, mode=mode, seed=seed)
+        est = _estimates(cfg, problem)
         estimates[n] = est
         d_opts[n] = alpha**2 / est.l_opt
         for d_value in cfg.sweep.values():

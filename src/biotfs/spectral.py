@@ -98,7 +98,7 @@ def schur_apply(system: BiotSystem, p: np.ndarray) -> np.ndarray:
     """
     if p.shape[0] != system.n_p:
         raise ValueError(f"pressure vector has length {p.shape[0]}, expected {system.n_p}")
-    out = system.B @ system.a_solve(system.B.T @ p)
+    out = system.B @ system.a_solve(system.Bt @ p)
     if system.params.inv_m != 0.0:
         out = out + system.params.inv_m * (system.Mp @ p)
     return out

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -393,3 +395,18 @@ def test_manufactured_sources_profile(params):
     assert fx == pytest.approx(1.0e9 * 0.0625, rel=1e-15)
     assert fy == pytest.approx(1.0e9 * 0.0625, rel=1e-15)
     assert fluid(0.3, 0.7, 0.0) == 0.0
+
+
+def test_cached_coupling_transpose_bitwise(problem16):
+    # B' is built once per B; its products equal those of B.T bit for bit,
+    # and a copy with a different B gets its own transpose.
+    system = problem16.system
+    rng = np.random.default_rng(16)
+    for _ in range(3):
+        p = rng.standard_normal(system.n_p)
+        assert np.array_equal(system.Bt @ p, system.B.T @ p)
+    assert system.Bt is system.prepare().Bt
+    scaled = dataclasses.replace(system, B=2.0 * system.B)
+    p = rng.standard_normal(system.n_p)
+    assert np.array_equal(scaled.Bt @ p, scaled.B.T @ p)
+    assert system.Bt is not scaled.Bt

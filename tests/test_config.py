@@ -98,6 +98,10 @@ def test_hash_deterministic_and_sensitive():
     assert bf.config_hash(base) != bf.config_hash(changed)
     text = canonical_text(base)
     assert "material.mu=41667000000.0" in text
+    # The default configuration's provenance hash is stable across releases.
+    assert bf.config_hash(base) == (
+        "7d42932b5a48fe4309c3a32b3740a5339bcafce3832e4bf7ebb0325de00df4cd"
+    )
 
 
 def test_load_config_missing_file(tmp_path):

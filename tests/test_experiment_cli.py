@@ -85,6 +85,27 @@ def test_solve_report_divergence_flag(small_cfg):
     assert report["diverged"]
 
 
+def _hash_of(kind, cfg, **overrides):
+    if kind == "estimate":
+        return estimate_report(cfg, **overrides)["config_hash"]
+    if kind == "solve":
+        return solve_report(cfg, 4, L_spec="optimal", **overrides)["config_hash"]
+    return sweep_report(cfg, **overrides).config_hash
+
+
+@pytest.mark.parametrize("kind", ["estimate", "solve", "sweep"])
+def test_config_hash_covers_seed_and_mode_overrides(small_cfg, kind):
+    # A report's hash covers the spectral settings its estimates used,
+    # whether they came from the config file or from --seed/--mode.
+    seed7 = parse_config(SMALL_CFG + "seed = 7\n")
+    coarse = parse_config(SMALL_CFG + "mode = coarse\n")
+    default = _hash_of(kind, small_cfg)
+    assert default == bf.config_hash(small_cfg)
+    assert _hash_of(kind, small_cfg, seed=7) == _hash_of(kind, seed7) != default
+    assert _hash_of(kind, small_cfg, seed=1) == default
+    assert _hash_of(kind, small_cfg, mode="coarse") == bf.config_hash(coarse) != default
+
+
 def test_sweep_rows_and_invariants(small_cfg):
     report = sweep_report(small_cfg)
     assert len(report.rows) == 4
@@ -235,6 +256,7 @@ def test_cli_sweep_seed_matches_config_seed(tmp_path, capsys):
     flag_doc = json.loads((tmp_path / "flag.csv.json").read_text())
     file_doc = json.loads((tmp_path / "file.csv.json").read_text())
     assert flag_doc["estimates"] == file_doc["estimates"]
+    assert flag_doc["config_hash"] == file_doc["config_hash"]
     assert by_flag.read_bytes() == by_file.read_bytes()
 
 

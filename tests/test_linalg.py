@@ -108,6 +108,12 @@ def test_m_norm_cases():
     assert bf.m_norm(sp.csr_matrix(M), x) == pytest.approx(expected, rel=1e-13)
     with pytest.raises(ValueError):
         bf.m_norm(sp.identity(3, format="csr"), np.zeros(4))
+    # A caller-supplied product M x replaces the product with M.
+    assert bf.m_norm(sp.csr_matrix(M), x, Mx=M @ x) == pytest.approx(expected, rel=1e-13)
+    with pytest.raises(ValueError):
+        bf.m_norm(sp.csr_matrix(M), x, Mx=np.zeros(6))
+    with pytest.raises(ValueError):
+        bf.m_norm(sp.csr_matrix(M), x, Mx=np.zeros((7, 1)))
 
 
 def test_matrix_market_round_trip(tmp_path, params):
@@ -130,3 +136,17 @@ def test_factorize_fill_at_n16(params):
     b = np.random.default_rng(16).standard_normal(A.shape[0])
     x = F.solve(b)
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("block", ["A", "Mp"])
+def test_factor_solve_transposed_sweep_matches_plain_sweep(problem8, block):
+    # Factorization.solve runs SuperLU's transposed sweep; for the
+    # symmetric factors it must agree with the plain sweep.
+    system = problem8.system.prepare()
+    factor = system._a_factor if block == "A" else system._m_factor
+    rng = np.random.default_rng(8)
+    for b in (rng.standard_normal(factor.shape[0]), rng.standard_normal((factor.shape[0], 3))):
+        x = factor.solve(b)
+        x_plain = factor._lu.solve(b, trans="N")
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - x_plain) <= 1e-12 * np.linalg.norm(x_plain)

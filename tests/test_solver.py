@@ -121,6 +121,67 @@ def test_fixed_stress_solve_diverges_below_threshold(problem8, dense_eigen8, par
     assert dp[-1] > dp[5]
 
 
+class CountingMatrix:
+    """Sparse matrix proxy that counts its products."""
+
+    def __init__(self, matrix):
+        self.matrix, self.shape, self.products = matrix, matrix.shape, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+
+def _two_step_states(params):
+    """A prepared n=8 system with first-step loads, and the same system
+    with the second step's loads plus the first step's state."""
+    prob = bf.build_problem(8, params, sources="manufactured")
+    base = prob.system.prepare()
+    cfg = bf.SolverConfig(L=l_physical(params))
+    first = dataclasses.replace(base)
+    first.f, first.g = bf.step_loads(prob, 0.1, 0.1, np.zeros(base.n_u), np.zeros(base.n_p))
+    u1, p1, _ = bf.fixed_stress_solve(first, cfg)
+    second = dataclasses.replace(base)
+    second.f, second.g = bf.step_loads(prob, 0.2, 0.1, u1, p1)
+    return cfg, first, second, (u1, p1)
+
+
+@pytest.mark.parametrize("inv_m", [0.0, 1e-11])
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_free_energy_norms_match_explicit_products(params, inv_m, start):
+    # The A-norms come from the elastic loads, not from products with A;
+    # on every iteration they must match m_norm(A, .). The increment norm
+    # is a difference of nearly equal loads, hence its looser bound.
+    cfg, first, second, (u1, p1) = _two_step_states(dataclasses.replace(params, inv_m=inv_m))
+    if start == "cold":
+        system, u_prev, kwargs = first, np.zeros(first.n_u), {}
+    else:
+        system, u_prev, kwargs = second, u1, {"u_init": u1, "p_init": p1}
+    _, _, trace = bf.fixed_stress_solve(system, cfg, record_iterates=True, **kwargs)
+    assert trace.converged and trace.iterations > 3
+    for (_, du), (_, un), u in zip(
+        trace.increment_norms, trace.solution_norms, trace.displacement_iterates
+    ):
+        un_ref = bf.m_norm(system.A, u)
+        du_ref = bf.m_norm(system.A, u - u_prev)
+        assert abs(un - un_ref) <= 1e-12 * un_ref
+        assert abs(du - du_ref) <= 1e-8 * du_ref
+        u_prev = u
+
+
+def test_fixed_stress_solve_products_with_a(params):
+    # A warm start costs one product with A (the load of u_init); a cold
+    # start costs none, and the iterations cost none either.
+    cfg, first, second, (u1, p1) = _two_step_states(params)
+    for system, kwargs, expected in ((first, {}, 0), (second, {"u_init": u1, "p_init": p1}, 1)):
+        counted = dataclasses.replace(system, A=CountingMatrix(system.A))
+        u, p, trace = bf.fixed_stress_solve(counted, cfg, **kwargs)
+        assert counted.A.products == expected
+        u_ref, p_ref, trace_ref = bf.fixed_stress_solve(system, cfg, **kwargs)
+        assert trace.iterations == trace_ref.iterations > 1
+        assert np.array_equal(u, u_ref) and np.array_equal(p, p_ref)
+
+
 def test_richardson_fixed_point_and_zero_relaxation(problem8):
     system = problem8.system
     _, p_star = bf.monolithic_solve(system)
@@ -184,6 +245,22 @@ def test_monolithic_singular_schur_raises(problem4, params):
     assert np.linalg.norm(system.g) > 0.0
     with np.errstate(all="ignore"), pytest.raises(bf.ConvergenceError):
         bf.monolithic_solve(system)
+
+
+def test_monolithic_singular_schur_stops_at_first_nonfinite_iterate(problem8, monkeypatch):
+    # On S = 0 the first CG step divides by zero; the solve must stop there
+    # instead of spending its 10 * n_p iteration budget on NaN iterates.
+    system = dataclasses.replace(problem8.system, B=sp.csr_matrix(problem8.system.B.shape))
+    applies = []
+
+    def counting_apply(sys_, p):
+        applies.append(1)
+        return bf.schur_apply(sys_, p)
+
+    monkeypatch.setattr("biotfs.solver.schur_apply", counting_apply)
+    with np.errstate(all="ignore"), pytest.raises(bf.ConvergenceError):
+        bf.monolithic_solve(system)
+    assert 1 <= len(applies) <= 3
 
 
 def test_monolithic_pressure_solves_schur_system(problem8):
