@@ -22,6 +22,7 @@ from .assembly import (
     assemble_source_moment,
     build_system,
     manufactured_sources,
+    reduced_divdiv,
 )
 from .config import (
     ConfigError,

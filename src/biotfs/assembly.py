@@ -28,7 +28,7 @@ from .elements import (
     p2_gradients,
     p2_values,
 )
-from .linalg import Factorization, factorize
+from .linalg import factorize
 from .mesh import DofMap, DofTag, Mesh
 
 SOURCE_SCALE = 1.0e9
@@ -48,7 +48,6 @@ class MaterialParams:
     alpha: float = 1.0
     inv_m: float = 0.0
     kappa: float = 0.0
-    dim: int = 2
 
     def __post_init__(self):
         if self.mu <= 0.0:
@@ -64,39 +63,32 @@ class MaterialParams:
                 "only impermeable media are supported: kappa must be 0, "
                 f"got {self.kappa}"
             )
-        if self.dim != 2:
-            raise ValueError("only the two-dimensional model is implemented")
 
     @property
     def drained_bulk_modulus(self) -> float:
-        """Physical drained bulk modulus 2*mu/dim + lam."""
-        return 2.0 * self.mu / self.dim + self.lam
+        """Physical drained bulk modulus 2*mu/d + lam, with d = 2."""
+        return self.mu + self.lam
 
 
 @dataclass
 class BiotSystem:
-    """Reduced block system plus material data and cached factorizations.
+    """Reduced block system: what the solves read, and nothing else.
 
-    A, Ddiv act on the free displacement dofs, Mp on the interior pressure
-    dofs and B maps free displacements to interior pressures. f and g are
-    the current momentum and flow loads; g changes every time step. The
-    factors of A and Mp and the CSR transpose Bt = B' are built once, on
-    first use or by `prepare()`, and `dataclasses.replace` copies share
-    them; Bt is rebuilt if B is replaced.
+    A acts on the free displacement dofs, Mp on the interior pressure dofs
+    and B maps free displacements to interior pressures. f and g are the
+    current momentum and flow loads. The factors of A and Mp and Bt = B'
+    are derived on first use (or by `prepare()`) and cached under the
+    identity of their source matrix; `dataclasses.replace` copies share the
+    cache, so new loads reuse them and a new A, B or Mp gets its own.
     """
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     Mp: sp.csr_matrix
-    Ddiv: sp.csr_matrix
     f: np.ndarray
     g: np.ndarray
     params: MaterialParams
-    free_u: np.ndarray
-    free_p: np.ndarray
-    _a_factor: Factorization | None = field(default=None, repr=False, compare=False)
-    _m_factor: Factorization | None = field(default=None, repr=False, compare=False)
-    _bt: tuple | None = field(default=None, repr=False, compare=False)  # (B, B')
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_u(self) -> int:
@@ -113,24 +105,31 @@ class BiotSystem:
         self.Bt
         return self
 
+    def _derive(self, make, source):
+        """make(source), built once per source object; the entry holds the
+        source, so its id stays unique. Racing threads may both build it."""
+        key = (make, id(source))
+        entry = self._derived.get(key)
+        if entry is None:
+            entry = self._derived[key] = (source, make(source))
+        return entry[1]
+
     @property
     def Bt(self) -> sp.csr_matrix:
         """B' as CSR; its products are bitwise equal to `B.T @ p`."""
-        if self._bt is None or self._bt[0] is not self.B:
-            self._bt = (self.B, self.B.T.tocsr())
-        return self._bt[1]
+        return self._derive(_csr_transpose, self.B)
 
     @property
     def a_solve(self):
-        if self._a_factor is None:
-            self._a_factor = factorize(self.A)
-        return self._a_factor.solve
+        return self._derive(factorize, self.A).solve
 
     @property
     def m_solve(self):
-        if self._m_factor is None:
-            self._m_factor = factorize(self.Mp)
-        return self._m_factor.solve
+        return self._derive(factorize, self.Mp).solve
+
+
+def _csr_transpose(M: sp.csr_matrix) -> sp.csr_matrix:
+    return M.T.tocsr()
 
 
 def _geometry(mesh: Mesh):
@@ -388,45 +387,40 @@ def apply_boundary_conditions(
     A: sp.csr_matrix,
     B: sp.csr_matrix,
     Mp: sp.csr_matrix,
-    Ddiv: sp.csr_matrix,
-    f: np.ndarray,
     dofs: DofMap,
     params: MaterialParams,
 ) -> BiotSystem:
-    """Eliminate Dirichlet rows/columns and bundle the reduced system.
+    """Eliminate Dirichlet rows/columns; bundle the system with zero loads.
 
     Homogeneous data only: constrained dofs are removed outright, which
     preserves symmetry and definiteness exactly.
     """
     _validate_tags(dofs)
-    free_u = dofs.free_u
-    free_p = dofs.free_p
+    free_u, free_p = dofs.free_u, dofs.free_p
     if free_p.size == 0:
         raise ValueError(
             "no interior pressure dofs; use at least 2 subdivisions per side"
         )
-    A_red = A[free_u][:, free_u].tocsr()
-    B_red = B[free_p][:, free_u].tocsr()
-    Mp_red = Mp[free_p][:, free_p].tocsr()
-    Ddiv_red = Ddiv[free_u][:, free_u].tocsr()
     return BiotSystem(
-        A=A_red,
-        B=B_red,
-        Mp=Mp_red,
-        Ddiv=Ddiv_red,
-        f=f[free_u].astype(float),
+        A=A[free_u][:, free_u].tocsr(),
+        B=B[free_p][:, free_u].tocsr(),
+        Mp=Mp[free_p][:, free_p].tocsr(),
+        f=np.zeros(free_u.size),
         g=np.zeros(free_p.size),
         params=params,
-        free_u=free_u,
-        free_p=free_p,
     )
 
 
 def build_system(mesh: Mesh, dofs: DofMap, params: MaterialParams) -> BiotSystem:
-    """Assemble all operators and reduce them; loads start at zero."""
+    """Assemble A, B and Mp and reduce them; loads start at zero."""
     A = assemble_elasticity(mesh, dofs, params)
     B = assemble_coupling(mesh, dofs, params.alpha)
     Mp = assemble_pressure_mass(mesh, dofs)
-    Ddiv = assemble_divdiv(mesh, dofs)
-    f = np.zeros(dofs.num_displacement_dofs)
-    return apply_boundary_conditions(A, B, Mp, Ddiv, f, dofs, params)
+    return apply_boundary_conditions(A, B, Mp, dofs, params)
+
+
+def reduced_divdiv(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
+    """The div-div operator on the free displacement dofs. No solve reads
+    it, so no system carries it; `estimate_k_star` and the dump call this."""
+    free_u = dofs.free_u
+    return assemble_divdiv(mesh, dofs)[free_u][:, free_u].tocsr()

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import manufactured_sources
+from .assembly import reduced_divdiv
 from .config import ExperimentConfig, config_hash
 from .linalg import dense_generalized_symmetric_eigen, m_norm, save_matrix_market
 from .mesh import write_mesh_text
@@ -287,7 +287,7 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     w, _ = dense_generalized_symmetric_eigen(s4, mp4)
     lam_min_d, lam_max_d = float(w[0]), float(w[-1])
 
-    k_star_div = estimate_k_star(sys4, tol=1e-10, maxit=100000, seed=cfg.spectral.seed)
+    k_star_div = estimate_k_star(prob4, tol=1e-10, maxit=100000, seed=cfg.spectral.seed)
     checks.append(
         Check.le(
             "kstar_route_vs_lambda_max_n4",
@@ -429,5 +429,5 @@ def dump_system(problem: TransientProblem, directory) -> None:
     save_matrix_market(directory / "A.mtx", sys_red.A)
     save_matrix_market(directory / "B.mtx", sys_red.B)
     save_matrix_market(directory / "Mp.mtx", sys_red.Mp)
-    save_matrix_market(directory / "Ddiv.mtx", sys_red.Ddiv)
+    save_matrix_market(directory / "Ddiv.mtx", reduced_divdiv(problem.mesh, problem.dofs))
     write_mesh_text(problem.mesh, directory / "mesh.txt")

@@ -246,7 +246,6 @@ class TransientProblem:
 
     mesh: Mesh
     dofs: DofMap
-    params: MaterialParams
     system: BiotSystem
     body_force: object = None
     fluid_source: object = None
@@ -271,7 +270,7 @@ def build_problem(
     else:
         body, fluid = sources
     return TransientProblem(
-        mesh=mesh, dofs=dofs, params=params, system=system,
+        mesh=mesh, dofs=dofs, system=system,
         body_force=body, fluid_source=fluid,
     )
 
@@ -317,8 +316,8 @@ def step_loads(
     system, dofs = problem.system, problem.dofs
     f = assemble_momentum_load(problem.mesh, dofs, problem.body_force, t)[dofs.free_u]
     g = system.B @ u
-    if problem.params.inv_m != 0.0:
-        g = g + problem.params.inv_m * (system.Mp @ p)
+    if system.params.inv_m != 0.0:
+        g = g + system.params.inv_m * (system.Mp @ p)
     if problem.fluid_source is not None:
         moment = assemble_source_moment(problem.mesh, dofs, problem.fluid_source, t)
         g = g + tau * moment[dofs.free_p]

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import BiotSystem, MaterialParams
+from .assembly import BiotSystem, MaterialParams, reduced_divdiv
 from .linalg import m_norm
 
 
@@ -165,19 +165,21 @@ def _extreme_eigs(pen: Pencil, which: str, k: int, tol: float, maxit: int,
     return values, residuals, applies, converged
 
 
-def estimate_k_star(system, tol: float = 1e-8, maxit: int = 50000,
+def estimate_k_star(problem, tol: float = 1e-8, maxit: int = 50000,
                     seed: int = 1) -> float:
     """Sharpest constant k with  u'Au >= k * ||div u||^2  on the free space.
 
     Computed as the reciprocal of the largest eigenvalue of the pencil
-    (Ddiv, A), or of an explicitly given Pencil; it is at least the
-    physical drained bulk modulus and depends on the boundary conditions.
+    (Ddiv, A) of a problem (Ddiv assembled for this call from its mesh and
+    dofs), or of an explicitly given Pencil; it is at least the physical
+    drained bulk modulus and depends on the boundary conditions.
     """
-    if isinstance(system, Pencil):
-        pen = system
+    if isinstance(problem, Pencil):
+        pen = problem
     else:
-        pen = pencil(system.Ddiv.__matmul__, system.A.__matmul__, system.a_solve,
-                     system.n_u)
+        system = problem.system
+        ddiv = reduced_divdiv(problem.mesh, problem.dofs)
+        pen = pencil(ddiv.__matmul__, system.A.__matmul__, system.a_solve, system.n_u)
     (value,), _, _, _ = _extreme_eigs(pen, "LA", 1, tol, maxit, seed)
     if value <= 0.0:
         raise EstimationError(

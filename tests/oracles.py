@@ -118,13 +118,12 @@ def dense_blocks(system):
         system.A.toarray(),
         system.B.toarray(),
         system.Mp.toarray(),
-        system.Ddiv.toarray(),
     )
 
 
 def dense_block_solve(system):
     """Monolithic solve of the full 2x2 block system with dense numpy."""
-    a, b, mp, _ = dense_blocks(system)
+    a, b, mp = dense_blocks(system)
     inv_m = system.params.inv_m
     n_u, n_p = a.shape[0], mp.shape[0]
     block = np.zeros((n_u + n_p, n_u + n_p))
@@ -139,7 +138,7 @@ def dense_block_solve(system):
 
 def dense_fixed_stress_step(system, u_prev, p_prev, L):
     """Literal dense-algebra version of one splitting iteration."""
-    a, b, mp, _ = dense_blocks(system)
+    a, b, mp = dense_blocks(system)
     inv_m = system.params.inv_m
     rhs = system.g - b @ u_prev - inv_m * (mp @ p_prev)
     dp = np.linalg.solve((L + inv_m) * mp, rhs)

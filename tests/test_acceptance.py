@@ -60,7 +60,7 @@ def test_criterion_2_eigenvalue_identifications(problem4, dense_eigen4, params):
     w, _ = dense_eigen4
     lam_min, lam_max = w[0], w[-1]
 
-    k_star_div = bf.estimate_k_star(system, tol=1e-10, maxit=200000, seed=SEED)
+    k_star_div = bf.estimate_k_star(problem4, tol=1e-10, maxit=200000, seed=SEED)
     gap_max = abs(params.alpha**2 / k_star_div + params.inv_m - lam_max) / lam_max
 
     bab = bf.dense_schur(system) - params.inv_m * system.Mp.toarray()
@@ -182,7 +182,7 @@ def test_criterion_5_divergence_threshold(problem8, dense_eigen8, params):
 def test_criterion_6_ordering_chain(problem8, params):
     est = bf.estimate_spectrum(problem8.system, tol=1e-10, maxit=200000, seed=SEED)
     k_dr = params.drained_bulk_modulus
-    k_star_div = bf.estimate_k_star(problem8.system, tol=1e-10, maxit=200000, seed=SEED)
+    k_star_div = bf.estimate_k_star(problem8, tol=1e-10, maxit=200000, seed=SEED)
     alpha2 = params.alpha**2
     ok = (
         est.beta >= est.k_star * (1.0 - 1e-12)

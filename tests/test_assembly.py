@@ -410,3 +410,29 @@ def test_cached_coupling_transpose_bitwise(problem16):
     p = rng.standard_normal(system.n_p)
     assert np.array_equal(scaled.Bt @ p, scaled.B.T @ p)
     assert system.Bt is not scaled.Bt
+
+
+@pytest.mark.parametrize("block, solve", [("A", "a_solve"), ("Mp", "m_solve")])
+def test_copy_with_new_matrix_solves_with_its_own_factor(problem4, block, solve):
+    # A prepared system's factors are keyed on the matrix they come from: a
+    # copy with a different A (or Mp) must not solve with the old factor.
+    system = problem4.system.prepare()
+    scaled = dataclasses.replace(system, **{block: 2.0 * getattr(system, block)})
+    b = np.random.default_rng(4).standard_normal(getattr(system, block).shape[0])
+    for copy in (scaled, system):
+        x = getattr(copy, solve)(b)
+        assert np.linalg.norm(getattr(copy, block) @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_system_holds_only_what_the_solves_read():
+    # Ddiv, free_u and free_p are not part of the system; one cache field.
+    names = {f.name for f in dataclasses.fields(bf.BiotSystem)}
+    assert names == {"A", "B", "Mp", "f", "g", "params", "_derived"}
+
+
+def test_reduced_divdiv_matches_full_operator():
+    mesh = bf.build_structured_mesh(4)
+    dofs = bf.build_taylor_hood_dofs(mesh)
+    D = bf.assemble_divdiv(mesh, dofs).toarray()
+    free = dofs.free_u
+    assert np.array_equal(bf.reduced_divdiv(mesh, dofs).toarray(), D[np.ix_(free, free)])

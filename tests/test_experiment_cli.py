@@ -283,4 +283,51 @@ def test_cli_dump_matrices(tmp_path, capsys):
     a = bf.load_matrix_market(dump / "n4" / "A.mtx")
     prob = bf.build_problem(4, parse_config(SMALL_CFG).material, sources=None)
     assert abs(a - prob.system.A).max() <= 1e-12 * abs(prob.system.A).max()
+    d = bf.load_matrix_market(dump / "n4" / "Ddiv.mtx")
+    ddiv = bf.reduced_divdiv(prob.mesh, prob.dofs)
+    assert abs(d - ddiv).max() <= 1e-12 * abs(ddiv).max()
     assert (dump / "n4" / "mesh.txt").exists()
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["estimate", "--mesh-n", "4"], 0),
+        (["solve", "--mesh-n", "4", "--L", "8.5e-12"], 0),
+        (["estimate", "--mesh-n", "4", "--dump-matrices", "{dump}"], 1),
+        (["verify", "--dump-matrices", "{dump}"], 3),
+    ],
+)
+def test_divdiv_assembled_only_where_read(tmp_path, monkeypatch, capsys, argv, expected):
+    # No solve reads Ddiv: it is assembled once per dumped mesh and once by
+    # verify's k_star side check, never by estimate or solve.
+    import biotfs.assembly
+
+    calls = _count_calls(monkeypatch, biotfs.assembly, "assemble_divdiv")
+    argv = [a.format(dump=tmp_path / "ops") for a in argv]
+    code = main(argv + ["--out", str(tmp_path / "out.json")])
+    assert code in (0, 4)
+    assert len(calls) == expected
+
+
+def test_sweep_copies_share_two_factors(monkeypatch):
+    # Every row of the sweep marches on copies of one prepared system; the
+    # copies change only the loads, so A and Mp are factored once each.
+    import biotfs.assembly
+
+    calls = _count_calls(monkeypatch, biotfs.assembly, "factorize")
+    report = sweep_report(bf.default_config(), mesh_ns=(4,))
+    assert len(report.rows) == 31
+    assert len(calls) == 2

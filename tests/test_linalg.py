@@ -142,8 +142,7 @@ def test_factorize_fill_at_n16(params):
 def test_factor_solve_transposed_sweep_matches_plain_sweep(problem8, block):
     # Factorization.solve runs SuperLU's transposed sweep; for the
     # symmetric factors it must agree with the plain sweep.
-    system = problem8.system.prepare()
-    factor = system._a_factor if block == "A" else system._m_factor
+    factor = bf.factorize(getattr(problem8.system, block))
     rng = np.random.default_rng(8)
     for b in (rng.standard_normal(factor.shape[0]), rng.standard_normal((factor.shape[0], 3))):
         x = factor.solve(b)

@@ -121,15 +121,16 @@ def test_fixed_stress_solve_diverges_below_threshold(problem8, dense_eigen8, par
     assert dp[-1] > dp[5]
 
 
-class CountingMatrix:
-    """Sparse matrix proxy that counts its products."""
+class CountingMatrix(sp.csr_matrix):
+    """CSR matrix that counts its products."""
 
-    def __init__(self, matrix):
-        self.matrix, self.shape, self.products = matrix, matrix.shape, 0
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.products = 0
 
     def __matmul__(self, x):
         self.products += 1
-        return self.matrix @ x
+        return super().__matmul__(x)
 
 
 def _two_step_states(params):
