@@ -16,7 +16,6 @@ from .assembly import (
     assemble_coupling,
     assemble_divdiv,
     assemble_elasticity,
-    assemble_flow_rhs,
     assemble_momentum_load,
     assemble_pressure_mass,
     assemble_source_moment,
@@ -74,7 +73,6 @@ from .spectral import (
     EstimationError,
     Pencil,
     SpectralEstimates,
-    estimate_beta,
     estimate_k_star,
     estimate_spectrum,
     optimal_parameters,

@@ -183,12 +183,13 @@ def _grad_products(mesh: Mesh) -> np.ndarray:
     )
 
 
-def assemble_elasticity(mesh: Mesh, dofs: DofMap, params: MaterialParams) -> sp.csr_matrix:
-    """Assemble the full linear elasticity operator over all displacement dofs.
+def _vector_p2_form(mesh: Mesh, dofs: DofMap, mu: float, lam: float) -> sp.csr_matrix:
+    """Assemble 2*mu*(eps(u), eps(v)) + lam*(div u, div v) over all
+    displacement dofs.
 
-    The bilinear form is 2*mu*(eps(u), eps(v)) + lam*(div u, div v); for the
-    vector P2 basis this expands into mu*(delta_ab grad.grad + cross terms)
-    plus the lam div-div block.
+    For the vector P2 basis this expands into mu*(delta_ab grad.grad + cross
+    terms) plus the lam div-div block; (mu, lam) = (0, 1) leaves exactly the
+    div-div form.
     """
     gab = _grad_products(mesh)
     gg = gab[..., 0, 0] + gab[..., 1, 1]
@@ -196,13 +197,19 @@ def assemble_elasticity(mesh: Mesh, dofs: DofMap, params: MaterialParams) -> sp.
     local = np.zeros((nt, 12, 12))
     for a in range(2):
         for b in range(2):
-            block = params.mu * gab[..., b, a] + params.lam * gab[..., a, b]
+            block = mu * gab[..., b, a] + lam * gab[..., a, b]
             if a == b:
-                block = block + params.mu * gg
+                block = block + mu * gg
             local[:, a::2, b::2] = block
     idx = _u_dof_indices(dofs)
     n = dofs.num_displacement_dofs
     return _scatter(local, idx[:, :, None], idx[:, None, :], (n, n))
+
+
+def assemble_elasticity(mesh: Mesh, dofs: DofMap, params: MaterialParams) -> sp.csr_matrix:
+    """Assemble the full linear elasticity operator over all displacement
+    dofs, 2*mu*(eps(u), eps(v)) + lam*(div u, div v)."""
+    return _vector_p2_form(mesh, dofs, params.mu, params.lam)
 
 
 def assemble_coupling(mesh: Mesh, dofs: DofMap, alpha: float) -> sp.csr_matrix:
@@ -243,19 +250,11 @@ def assemble_pressure_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
 def assemble_divdiv(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     """Assemble the div-div operator (div phi_i, div phi_j), all dofs.
 
-    Its quadratic form is the squared L2 norm of the discrete divergence;
-    rigid motions and every discretely divergence-free field lie in its
-    kernel.
+    It is the lam-part of the elasticity form. Its quadratic form is the
+    squared L2 norm of the discrete divergence; rigid motions and every
+    discretely divergence-free field lie in its kernel.
     """
-    gab = _grad_products(mesh)
-    nt = mesh.num_triangles
-    local = np.zeros((nt, 12, 12))
-    for a in range(2):
-        for b in range(2):
-            local[:, a::2, b::2] = gab[..., a, b]
-    idx = _u_dof_indices(dofs)
-    n = dofs.num_displacement_dofs
-    return _scatter(local, idx[:, :, None], idx[:, None, :], (n, n))
+    return _vector_p2_form(mesh, dofs, 0.0, 1.0)
 
 
 def _quad_coords(v: np.ndarray, jac: np.ndarray):
@@ -304,50 +303,7 @@ def assemble_source_moment(mesh: Mesh, dofs: DofMap, source, t: float) -> np.nda
     )
 
 
-def assemble_flow_rhs(
-    mesh: Mesh,
-    dofs: DofMap,
-    params: MaterialParams,
-    u_prev: np.ndarray,
-    p_prev: np.ndarray | None,
-    t: float,
-    tau: float,
-    source=None,
-    matrices=None,
-) -> np.ndarray:
-    """Flow right-hand side for one implicit Euler step, interior dofs only.
-
-    g[q] = inv_m*(p_prev, psi_q) + alpha*(div u_prev, psi_q)
-           + tau*(source(., t), psi_q),
-
-    where u_prev and p_prev are full-length coefficient vectors of the
-    previous time step. Pass precomputed full (B, Mp) through `matrices` to
-    skip reassembly.
-    """
-    if u_prev.shape[0] != dofs.num_displacement_dofs:
-        raise ValueError(
-            f"u_prev has length {u_prev.shape[0]}, "
-            f"expected {dofs.num_displacement_dofs}"
-        )
-    if p_prev is not None and p_prev.shape[0] != dofs.num_pressure_dofs:
-        raise ValueError(
-            f"p_prev has length {p_prev.shape[0]}, "
-            f"expected {dofs.num_pressure_dofs}"
-        )
-    if matrices is None:
-        B = assemble_coupling(mesh, dofs, params.alpha)
-        Mp = assemble_pressure_mass(mesh, dofs)
-    else:
-        B, Mp = matrices
-    g = B @ u_prev
-    if params.inv_m != 0.0 and p_prev is not None:
-        g = g + params.inv_m * (Mp @ p_prev)
-    if source is not None:
-        g = g + tau * assemble_source_moment(mesh, dofs, source, t)
-    return g[dofs.free_p]
-
-
-def manufactured_sources(params: MaterialParams | None = None):
+def manufactured_sources():
     """Closed-form body force and fluid source with parabolic profiles.
 
     Both vanish on the domain boundary and at t = 0. The body force carries

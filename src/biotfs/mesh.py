@@ -56,10 +56,6 @@ class Mesh:
     def num_edges(self) -> int:
         return self.edges.shape[0]
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
-
 
 def build_structured_mesh(n: int) -> Mesh:
     """Build the diagonal-split structured triangulation of the unit square.

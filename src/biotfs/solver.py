@@ -264,7 +264,7 @@ def build_problem(
     dofs = build_taylor_hood_dofs(mesh)
     system = build_system(mesh, dofs, params)
     if sources == "manufactured":
-        body, fluid = manufactured_sources(params)
+        body, fluid = manufactured_sources()
     elif sources is None:
         body, fluid = None, None
     else:
@@ -335,14 +335,13 @@ def time_march(
     stops at the first non-convergent step.
     """
     base = problem.system.prepare()
-    sys_step = replace(base)
     u = np.zeros(base.n_u)
     p = np.zeros(base.n_p)
     counts, flags = [], []
     times = grid.times()
     for t in times:
-        sys_step.f, sys_step.g = step_loads(problem, t, grid.tau, u, p)
-        u, p, trace = fixed_stress_solve(sys_step, config, u_init=u, p_init=p)
+        f, g = step_loads(problem, t, grid.tau, u, p)
+        u, p, trace = fixed_stress_solve(replace(base, f=f, g=g), config, u_init=u, p_init=p)
         counts.append(trace.iterations if trace.converged else config.max_iter)
         flags.append(trace.converged)
         if not trace.converged:

@@ -189,22 +189,6 @@ def estimate_k_star(problem, tol: float = 1e-8, maxit: int = 50000,
     return 1.0 / value
 
 
-def estimate_beta(system: BiotSystem, lambda_min: float) -> float:
-    """Inf-sup energy constant beta = alpha^2 / (lambda_min - inv_m).
-
-    Raises EstimationError when lambda_min does not exceed inv_m, which
-    signals a loss of inf-sup stability.
-    """
-    params = system.params
-    denom = lambda_min - params.inv_m
-    if denom <= 1e-12 * max(abs(lambda_min), params.inv_m, 1e-300):
-        raise EstimationError(
-            "lambda_min does not exceed the compressibility term; "
-            "the discretization is not inf-sup stable"
-        )
-    return params.alpha**2 / denom
-
-
 def optimal_parameters(
     lambda_max: float,
     lambda_min: float,

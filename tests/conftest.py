@@ -18,12 +18,8 @@ def params():
 def _loaded_problem(n, params, t=0.1, tau=0.1):
     """Problem with first-step loads of the built-in sources applied."""
     prob = bf.build_problem(n, params, sources="manufactured")
-    sys_run = dataclasses.replace(prob.system)
-    sys_run.f, sys_run.g = bf.step_loads(
-        prob, t, tau, np.zeros(sys_run.n_u), np.zeros(sys_run.n_p)
-    )
-    sys_run.prepare()
-    prob.system = sys_run
+    f, g = bf.step_loads(prob, t, tau, np.zeros(prob.system.n_u), np.zeros(prob.system.n_p))
+    prob.system = dataclasses.replace(prob.system, f=f, g=g).prepare()
     return prob
 
 

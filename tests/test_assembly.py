@@ -232,7 +232,7 @@ def test_reduction_matches_full_solve_with_identity_rows(params):
     mesh = bf.build_structured_mesh(3)
     dofs = bf.build_taylor_hood_dofs(mesh)
     A_full = bf.assemble_elasticity(mesh, dofs, params).toarray()
-    body, _ = bf.manufactured_sources(params)
+    body, _ = bf.manufactured_sources()
     f_full = bf.assemble_momentum_load(mesh, dofs, body, t=1.0)
     free = dofs.free_u
     fixed = np.setdiff1d(np.arange(dofs.num_displacement_dofs), free)
@@ -255,26 +255,18 @@ def test_apply_boundary_conditions_rejects_single_cell(params):
 
 
 def test_flow_rhs_zero_case(params):
-    mesh = bf.build_structured_mesh(3)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    g = bf.assemble_flow_rhs(
-        mesh, dofs, params,
-        u_prev=np.zeros(dofs.num_displacement_dofs),
-        p_prev=None, t=0.5, tau=0.1, source=None,
-    )
+    # A source-free problem from a zero state has a zero flow load.
+    problem = bf.build_problem(3, params, sources=None)
+    system = problem.system
+    _, g = bf.step_loads(problem, 0.5, 0.1, np.zeros(system.n_u), np.zeros(system.n_p))
     assert np.all(g == 0.0)
 
 
 def test_flow_rhs_unit_source_vs_quadrature_oracle(params):
     n = 4
-    mesh = bf.build_structured_mesh(n)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    g = bf.assemble_flow_rhs(
-        mesh, dofs, params,
-        u_prev=np.zeros(dofs.num_displacement_dofs),
-        p_prev=None, t=1.0, tau=0.1,
-        source=lambda x, y, t: np.ones_like(x),
-    )
+    problem = bf.build_problem(n, params, sources=(None, lambda x, y, t: np.ones_like(x)))
+    mesh, dofs, system = problem.mesh, problem.dofs, problem.system
+    _, g = bf.step_loads(problem, 1.0, 0.1, np.zeros(system.n_u), np.zeros(system.n_p))
     # Independent oracle: tau * integral of each interior hat function.
     for row, vertex in enumerate(dofs.free_p):
         total = 0.0
@@ -304,43 +296,40 @@ def _hat_on_triangle(x, y, local, verts):
 
 
 def test_flow_rhs_constant_divergence(params):
-    # u = (x, 0) interpolates exactly, div u = 1: the coupling term equals
-    # alpha times the mass-matrix row sums on the interior dofs.
+    # u = (x, 0) interpolates exactly, div u = 1: the coupling term of the
+    # flow load equals alpha times the mass-matrix row sums on the interior
+    # dofs. u is nonzero on Dirichlet dofs, so the full B applies it.
     mesh = bf.build_structured_mesh(4)
     dofs = bf.build_taylor_hood_dofs(mesh)
     u = np.zeros(dofs.num_displacement_dofs)
     u[0::2] = dofs.node_coords[:, 0]
-    g = bf.assemble_flow_rhs(mesh, dofs, params, u_prev=u, p_prev=None, t=0.0, tau=0.1)
+    g = (bf.assemble_coupling(mesh, dofs, params.alpha) @ u)[dofs.free_p]
     Mp = bf.assemble_pressure_mass(mesh, dofs)
     expected = params.alpha * (Mp @ np.ones(dofs.num_pressure_dofs))[dofs.free_p]
     assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_flow_rhs_rejects_bad_lengths(params):
-    mesh = bf.build_structured_mesh(2)
-    dofs = bf.build_taylor_hood_dofs(mesh)
+    problem = bf.build_problem(2, params, sources=None)
     with pytest.raises(ValueError):
-        bf.assemble_flow_rhs(mesh, dofs, params, u_prev=np.zeros(3), p_prev=None, t=0.0, tau=0.1)
+        bf.step_loads(problem, 0.0, 0.1, np.zeros(3), np.zeros(problem.system.n_p))
 
 
 def test_flow_rhs_matches_reduced_fast_path(params):
     # The reduced-space load used by the time march must agree with the
-    # full-vector reference implementation.
-    mesh = bf.build_structured_mesh(3)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    system = bf.build_system(mesh, dofs, params)
-    _, fluid = bf.manufactured_sources(params)
+    # full-vector load restricted to the interior pressure dofs.
+    problem = bf.build_problem(3, params)
+    mesh, dofs, system = problem.mesh, problem.dofs, problem.system
     rng = np.random.default_rng(5)
     u_red = rng.standard_normal(system.n_u)
     u_full = np.zeros(dofs.num_displacement_dofs)
     u_full[dofs.free_u] = u_red
     t, tau = 0.3, 0.1
-    moment = bf.assemble_source_moment(mesh, dofs, fluid, t)
-    fast = system.B @ u_red + tau * moment[dofs.free_p]
-    reference = bf.assemble_flow_rhs(
-        mesh, dofs, params, u_prev=u_full, p_prev=None, t=t, tau=tau, source=fluid
-    )
-    assert np.abs(fast - reference).max() <= 1e-13 * max(np.abs(reference).max(), 1.0)
+    _, g = bf.step_loads(problem, t, tau, u_red, np.zeros(system.n_p))
+    B_full = bf.assemble_coupling(mesh, dofs, params.alpha)
+    moment = bf.assemble_source_moment(mesh, dofs, problem.fluid_source, t)
+    reference = (B_full @ u_full + tau * moment)[dofs.free_p]
+    assert np.abs(g - reference).max() <= 1e-13 * max(np.abs(reference).max(), 1.0)
 
 
 def test_momentum_load_vs_per_triangle_quadrature_oracle():
@@ -385,8 +374,8 @@ def test_p2_physical_gradients_vs_per_element_product():
     assert np.allclose(det, 1.0 / 9.0, rtol=1e-15, atol=0.0)
 
 
-def test_manufactured_sources_profile(params):
-    body, fluid = bf.manufactured_sources(params)
+def test_manufactured_sources_profile():
+    body, fluid = bf.manufactured_sources()
     y = np.linspace(0.0, 1.0, 7)
     assert np.all(fluid(np.zeros_like(y), y, 2.0) == 0.0)
     # closed-form values at the center

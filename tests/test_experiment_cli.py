@@ -166,6 +166,19 @@ def test_sweep_json_roundtrip(small_cfg):
     assert "4" in doc["predicted_d_opt"]
 
 
+def test_sweep_propagates_a_failing_row(small_cfg, monkeypatch):
+    # Divergence is reported through the march result; an exception is a
+    # defect and must not become a "diverged" row.
+    import biotfs.experiment
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("defect in the march")
+
+    monkeypatch.setattr(biotfs.experiment, "time_march", broken)
+    with pytest.raises(RuntimeError, match="defect in the march"):
+        sweep_report(small_cfg)
+
+
 def test_verify_report_known_outcome(small_cfg):
     # Every check passes except the div-div route identification, which is
     # structurally loose for this element pair (see README).

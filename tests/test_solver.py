@@ -139,11 +139,11 @@ def _two_step_states(params):
     prob = bf.build_problem(8, params, sources="manufactured")
     base = prob.system.prepare()
     cfg = bf.SolverConfig(L=l_physical(params))
-    first = dataclasses.replace(base)
-    first.f, first.g = bf.step_loads(prob, 0.1, 0.1, np.zeros(base.n_u), np.zeros(base.n_p))
+    f, g = bf.step_loads(prob, 0.1, 0.1, np.zeros(base.n_u), np.zeros(base.n_p))
+    first = dataclasses.replace(base, f=f, g=g)
     u1, p1, _ = bf.fixed_stress_solve(first, cfg)
-    second = dataclasses.replace(base)
-    second.f, second.g = bf.step_loads(prob, 0.2, 0.1, u1, p1)
+    f, g = bf.step_loads(prob, 0.2, 0.1, u1, p1)
+    second = dataclasses.replace(base, f=f, g=g)
     return cfg, first, second, (u1, p1)
 
 

@@ -191,15 +191,18 @@ def test_estimate_k_star_degenerate_signal(problem4):
         bf.estimate_k_star(degenerate, tol=1e-8, maxit=100, seed=1)
 
 
-def test_estimate_beta_algebraic_inversion(problem4, params):
+def test_estimate_beta_algebraic_inversion(params):
     c = 3.7e11
-    beta = bf.estimate_beta(problem4.system, params.alpha**2 / c)
+    lam_min = params.alpha**2 / c
+    beta = bf.optimal_parameters(2.0 * lam_min, lam_min, params).beta
     assert beta == pytest.approx(c, rel=1e-12)
 
 
-def test_estimate_beta_infsup_signal(problem4):
+def test_estimate_beta_infsup_signal(params):
+    # lambda_min no larger than inv_m signals a loss of inf-sup stability.
+    compressible = dataclasses.replace(params, inv_m=1.0e-11)
     with pytest.raises(EstimationError):
-        bf.estimate_beta(problem4.system, lambda_min=0.0)
+        bf.optimal_parameters(2.0e-11, compressible.inv_m, compressible)
 
 
 def test_estimate_beta_dense_proof_identity(problem4, dense_eigen4, params):
@@ -211,7 +214,7 @@ def test_estimate_beta_dense_proof_identity(problem4, dense_eigen4, params):
     bab = bf.dense_schur(system) - params.inv_m * system.Mp.toarray()
     wb, _ = bf.dense_generalized_symmetric_eigen(bab, system.Mp.toarray())
     beta_dense = params.alpha**2 / wb[0]
-    beta_ident = bf.estimate_beta(system, w[0])
+    beta_ident = bf.optimal_parameters(w[-1], w[0], params).beta
     assert abs(beta_dense - beta_ident) <= 1e-6 * beta_ident
 
 
