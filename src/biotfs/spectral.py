@@ -14,13 +14,17 @@ same eigenvalues identify two bulk-type moduli: k_star = alpha^2 /
 eigenvalue problem, and beta = alpha^2 / (lambda_min - inv_m), which exists
 for inf-sup stable discretizations.
 
-Both extreme eigenvalues come from one run of implicitly restarted Lanczos
-(ARPACK through scipy's eigsh; Lehoucq, Sorensen & Yang, 1998) on the
-matrix-free pencil: S is only ever applied through the cached factorization
-of A, never formed. Every returned eigenpair carries a certificate, its
-relative eigen-residual ||S v - lambda Mp v||_{inv(Mp)} / (|lambda|
-||v||_{Mp}); by the Krylov-Weinstein bound lambda then lies within that
-relative distance of an eigenvalue of the pencil, and an estimate counts as
+Both extreme eigenvalues come from one unrestarted Lanczos run with full
+reorthogonalization (Parlett, The Symmetric Eigenvalue Problem, 1998) on
+the matrix-free pencil: S is only ever applied through the cached
+factorization of A, never formed, and each step costs one such apply. The
+run checks the Ritz residual estimates of both ends after every step, so it
+stops at the first step that meets the tolerance instead of at the end of a
+restart cycle. Every returned eigenpair carries a certificate, its relative
+eigen-residual ||S v - lambda Mp v||_{inv(Mp)} / (|lambda| ||v||_{Mp}),
+computed explicitly; by the Krylov-Weinstein bound lambda then lies within
+that relative distance of an eigenvalue of the pencil. The run stops on
+the certificate, never on the estimate alone, and an estimate counts as
 converged only when every residual is within the requested tolerance.
 """
 
@@ -49,10 +53,11 @@ class SpectralEstimates:
     omega_opt = 2/(lambda_max + lambda_min), l_opt = 1/omega_opt - inv_m
     = (alpha^2/2)(1/k_star + 1/beta), rho_opt in [0, 1).
 
-    iterations_used is (Schur applies of the Lanczos run, 0): one run
-    serves both ends; the count includes the product that scales the
-    pencil but not the two certificate products. residuals are the
-    relative inv(Mp)-norm eigen-residuals of (lambda_max, lambda_min).
+    iterations_used is (Lanczos steps, 0): one run serves both ends, and
+    each step is one Schur apply; the count leaves out the two products of
+    each certificate. residuals are the relative inv(Mp)-norm
+    eigen-residuals of (lambda_max, lambda_min); converged is False when
+    the step cap was reached first.
     """
 
     lambda_max: float
@@ -104,65 +109,58 @@ def schur_apply(system: BiotSystem, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extreme_eigs(pen: Pencil, which: str, k: int, tol: float, maxit: int,
-                  seed: int):
-    """Extreme eigenpairs of a pencil by implicitly restarted Lanczos.
+def _extreme_eigs(pen: Pencil, which: str, tol: float, maxit: int, seed: int):
+    """Extreme eigenpairs of a pencil by Lanczos with full reorthogonalization.
 
-    which="BE" with k=2 gives both ends, which="LA" with k=1 the largest.
+    which="BE" gives both ends, which="LA" the largest. The M-orthonormal
+    basis grows by one vector per K product; each new vector goes twice
+    through classical Gram-Schmidt against the whole basis in the M inner
+    product, which reads the M-products kept with the basis, so
+    reorthogonalization forms none. After step j a Ritz pair
+    (theta, y) has the residual estimate |beta_j s_j| / |theta|, with s_j
+    the last entry of its eigenvector of the tridiagonal T_j. Once every
+    wanted estimate is within tol the explicit certificate is computed, and
+    the run stops when it passes, after min(maxit, size) steps, or when the
+    Krylov space is invariant (beta_j == 0).
+
     Returns (values, residuals, applies, converged): the eigenvalues in
     ascending order, their relative inv(M)-norm eigen-residuals, the number
-    of K products taken before the residual check, and whether ARPACK
-    converged with every residual within tol. Pencils too small for ARPACK are solved
-    densely. At the restart cap every end ARPACK did not return is the
-    Rayleigh quotient of the start vector. Raises EstimationError when K
-    vanishes on the start vector.
+    of K products taken before the certificate, and whether every residual
+    is within tol. Raises EstimationError when K vanishes on the start
+    vector.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     size = pen.K.shape[0]
-    applies = 0
-
-    def apply_k(x):
-        nonlocal applies
-        applies += 1
-        return pen.K.matvec(x)
-
-    v0 = np.random.default_rng(seed).standard_normal(size)
-    capped = False
-    if size <= k + 1:
-        eye = np.eye(size)
-        K = spla.LinearOperator(pen.K.shape, matvec=apply_k, dtype=float)
-        w, vecs = scipy.linalg.eigh(K @ eye, pen.M @ eye)
-        pick = [0, -1] if which == "BE" else [-1]
-        values, vecs = w[pick], vecs[:, pick]
-    else:
-        rq = float(v0 @ apply_k(v0)) / float(v0 @ pen.M.matvec(v0))
-        if rq == 0.0:
+    steps = min(maxit, size)
+    pick = [0, -1] if which == "BE" else [-1]
+    q = np.random.default_rng(seed).standard_normal(size)
+    Mq = pen.M.matvec(q)
+    norm = np.sqrt(q @ Mq)
+    Q, MQ = (q / norm)[None], (Mq / norm)[None]
+    alpha, beta = [], []
+    for j in range(1, steps + 1):
+        r = pen.Minv.matvec(pen.K.matvec(Q[-1]))
+        coef = 0.0
+        for _ in range(2):
+            c = MQ @ r
+            r, coef = r - c @ Q, coef + c
+        alpha.append(coef[-1])
+        if alpha[0] == 0.0:
             raise EstimationError("the operator K of the pencil vanishes")
-        # ARPACK accepts a Ritz value theta once its residual bound is below
-        # tol * max(|theta|, eps**(2/3)); dividing K by the start vector's
-        # Rayleigh quotient brings theta to order one, so that test stays
-        # relative for pencils with tiny eigenvalues such as (S, Mp).
-        scale = abs(rq)
-        K = spla.LinearOperator(pen.K.shape, matvec=lambda x: apply_k(x) / scale,
-                                dtype=float)
-        try:
-            values, vecs = spla.eigsh(K, k=k, M=pen.M, Minv=pen.Minv, which=which,
-                                      tol=tol, maxiter=maxit, v0=v0)
-            values = values * scale
-        except spla.ArpackNoConvergence as exc:
-            capped = True
-            missing = k - len(exc.eigenvalues)
-            values = np.append(exc.eigenvalues * scale, [rq] * missing)
-            vecs = np.column_stack([*exc.eigenvectors.T] + [v0] * missing)
-    order = np.argsort(values)
-    values, vecs = values[order].tolist(), vecs[:, order]
-    residuals = []
-    for lam, v in zip(values, vecs.T):
-        r = pen.Minv.matvec(pen.K.matvec(v)) - lam * v
-        residuals.append(m_norm(pen.M, r) / max(abs(lam) * m_norm(pen.M, v), 1e-300))
-    converged = not capped and all(res <= tol for res in residuals)
-    return values, residuals, applies, converged
+        Mr = pen.M.matvec(r)
+        beta.append(np.sqrt(max(r @ Mr, 0.0)))
+        theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
+        last = j == steps or beta[-1] == 0.0
+        if last or np.all(np.abs(beta[-1] * s[-1, pick]) <= tol * np.abs(theta[pick])):
+            values, residuals = theta[pick].tolist(), []
+            for lam, v in zip(values, s[:, pick].T @ Q):
+                err = pen.Minv.matvec(pen.K.matvec(v)) - lam * v
+                residuals.append(m_norm(pen.M, err) / max(abs(lam) * m_norm(pen.M, v), 1e-300))
+            converged = all(res <= tol for res in residuals)
+            if converged or last:
+                return values, residuals, j, converged
+        Q, MQ = np.vstack((Q, r / beta[-1])), np.vstack((MQ, Mr / beta[-1]))
 
 
 def estimate_k_star(problem, tol: float = 1e-8, maxit: int = 50000,
@@ -180,7 +178,7 @@ def estimate_k_star(problem, tol: float = 1e-8, maxit: int = 50000,
         system = problem.system
         ddiv = reduced_divdiv(problem.mesh, problem.dofs)
         pen = pencil(ddiv.__matmul__, system.A.__matmul__, system.a_solve, system.n_u)
-    (value,), _, _, _ = _extreme_eigs(pen, "LA", 1, tol, maxit, seed)
+    (value,), _, _, _ = _extreme_eigs(pen, "LA", tol, maxit, seed)
     if value <= 0.0:
         raise EstimationError(
             "div-div form vanishes on the displacement space; "
@@ -232,14 +230,14 @@ def estimate_spectrum(system: BiotSystem, tol: float = 1e-8,
     derive the optimal parameters.
 
     tol is the relative eigen-residual every returned pair must meet for
-    the estimate to count as converged, maxit the ARPACK restart cap and
-    seed fixes the start vector. At the cap the best finite estimates are
-    returned with converged=False.
+    the estimate to count as converged, maxit the cap on Lanczos steps
+    (Schur applies) and seed fixes the start vector. At the cap the Ritz
+    values of the last step are returned with converged=False.
     """
     pen = pencil(lambda p: schur_apply(system, p), system.Mp.__matmul__,
                  system.m_solve, system.n_p)
     (lam_min, lam_max), (res_min, res_max), applies, converged = _extreme_eigs(
-        pen, "BE", 2, tol, maxit, seed
+        pen, "BE", tol, maxit, seed
     )
     return optimal_parameters(
         lam_max,

@@ -59,7 +59,7 @@ def test_estimate_degenerate_spectrum_reports_zero_rho(params):
     pen = bf.pencil(
         (2.0 * M).__matmul__, M.__matmul__, lambda x: np.linalg.solve(M, x), 6
     )
-    (low, high), _, _, _ = _extreme_eigs(pen, "BE", 2, 1e-12, 100, 0)
+    (low, high), _, _, _ = _extreme_eigs(pen, "BE", 1e-12, 100, 0)
     est = bf.optimal_parameters(high, max(low, 1e-300), params)
     assert est.rho_opt <= 1e-10
 
@@ -201,6 +201,14 @@ def test_cli_estimate_writes_json(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["meshes"][0]["n"] == 4
+
+
+def test_cli_estimate_bit_deterministic(tmp_path, capsys):
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        assert main(["estimate", "--mesh-n", "16", "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_cli_estimate_stdout(tmp_path, capsys):

@@ -70,7 +70,7 @@ def test_schur_symmetry_and_definiteness(problem4):
 def test_power_max_diag_fixture():
     K = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
     pen = pencil(K.__matmul__, _identity, _identity, 3)
-    (value,), _, _, converged = _extreme_eigs(pen, "LA", 1, 1e-10, 10000, 0)
+    (value,), _, _, converged = _extreme_eigs(pen, "LA", 1e-10, 10000, 0)
     assert converged
     assert value == pytest.approx(3.0, rel=1e-8)
 
@@ -81,10 +81,10 @@ def test_power_max_proportional_pencil_one_step():
     M = a @ a.T + 6 * np.eye(6)
     c = 2.5
     pen = _explicit_pencil(sp.csr_matrix(c * M), sp.csr_matrix(M))
-    (value,), _, applies, converged = _extreme_eigs(pen, "LA", 1, 1e-12, 100, 0)
+    (value,), _, applies, converged = _extreme_eigs(pen, "LA", 1e-12, 100, 0)
     assert value == pytest.approx(c, rel=1e-12)
-    # A flat spectrum converges within the first Lanczos cycle (at most
-    # size + 1 products) after the one product that scales K.
+    # A flat spectrum is exact after one Lanczos step; the bound allows
+    # the size of the pencil plus one.
     assert converged
     assert applies <= 1 + (6 + 1)
 
@@ -97,17 +97,31 @@ def test_power_max_vs_dense(problem4, dense_eigen4):
 
 
 def test_power_max_cap_flags_inexact(system16):
-    # One Lanczos restart at n=16 leaves lambda_max unconverged.
+    # One Lanczos step at n=16 leaves lambda_max unconverged.
     est = bf.estimate_spectrum(system16, tol=1e-12, maxit=1, seed=1)
     assert not est.converged
     assert est.iterations_used[0] > 0
     assert 0.0 < est.lambda_min <= est.lambda_max < np.inf
 
 
+def test_step_cap_counts_schur_applies(system16):
+    est = bf.estimate_spectrum(system16, tol=1e-12, maxit=5, seed=1)
+    assert est.iterations_used == (5, 0)
+    assert est.converged is False
+    assert 0.0 < est.lambda_min <= est.lambda_max
+
+
+def test_step_cap_sizes_no_allocation(system16):
+    # The basis grows with the steps taken, so a huge cap costs nothing.
+    est = bf.estimate_spectrum(system16, tol=1e-8, maxit=10**9, seed=1)
+    assert est.converged
+    assert max(est.residuals) <= 1e-8
+
+
 def test_power_min_diag_fixture():
     K = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
     pen = pencil(K.__matmul__, _identity, _identity, 3)
-    (low, _), _, _, _ = _extreme_eigs(pen, "BE", 2, 1e-10, 10000, 0)
+    (low, _), _, _, _ = _extreme_eigs(pen, "BE", 1e-10, 10000, 0)
     assert low == pytest.approx(1.0, rel=1e-8)
 
 
@@ -117,7 +131,7 @@ def test_power_min_proportional_pencil():
     M = a @ a.T + 5 * np.eye(5)
     c = 0.75
     pen = _explicit_pencil(sp.csr_matrix(c * M), sp.csr_matrix(M))
-    (low, _), _, _, _ = _extreme_eigs(pen, "BE", 2, 1e-12, 100, 0)
+    (low, _), _, _, _ = _extreme_eigs(pen, "BE", 1e-12, 100, 0)
     assert low == pytest.approx(c, rel=1e-10)
 
 
@@ -136,6 +150,21 @@ def test_fine_estimate_certified_against_dense_n16(system16):
     assert max(est.residuals) <= 1e-8
     assert abs(est.lambda_max - w[-1]) <= 1e-9 * w[-1]
     assert abs(est.lambda_min - w[0]) <= 1e-9 * w[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fine_estimate_stops_at_first_certified_step_n16(system16, seed):
+    # Checking both ends after every step certifies in 23-25 Schur applies
+    # here; checking once per 20-vector restart cycle takes 39.
+    est = bf.estimate_spectrum(system16, tol=1e-8, seed=seed)
+    assert est.converged
+    assert max(est.residuals) <= 1e-8
+    assert est.iterations_used[0] <= 30
+
+
+def test_estimate_spectrum_is_deterministic(system16):
+    first = bf.estimate_spectrum(system16, tol=1e-8, seed=1)
+    assert bf.estimate_spectrum(system16, tol=1e-8, seed=1) == first
 
 
 def _reduced_divdiv(problem):

@@ -1,7 +1,7 @@
 """Property tests of the spectral estimates over the admissible material space.
 
-Each example builds a small mesh (n = 2 gives a single pressure dof, which
-takes the dense small-pencil route) and checks the SpectralEstimates
+Each example builds a small mesh (n = 2 gives a single pressure dof, where
+one Lanczos step is exact) and checks the SpectralEstimates
 invariants and the agreement with the dense oracle.
 """
 
