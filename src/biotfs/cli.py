@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, default_config, load_config
+from .config import ConfigError, default_config, load_config, override
 from .experiment import (
     dump_system,
     estimate_report,
@@ -39,11 +39,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", type=Path, help="configuration file (INI sections)")
-        p.add_argument("--mesh-n", type=int, help="restrict to one mesh resolution")
-        p.add_argument("--seed", type=int, help="override the spectral seed")
         p.add_argument(
-            "--mode", choices=("fine", "coarse"), help="spectral estimate tolerance mode"
+            "--mesh-n", type=int, help="run one mesh resolution (not part of config_hash)"
         )
+        p.add_argument("--seed", dest="spectral.seed", metavar="N",
+                       help="override [spectral] seed")
+        p.add_argument("--mode", dest="spectral.mode", metavar="fine|coarse",
+                       help="override [spectral] mode and reset [spectral] tol to its default")
         p.add_argument("--out", type=Path, help="output path (default: stdout)")
         p.add_argument(
             "--dump-matrices",
@@ -57,11 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="time march one mesh at a stabilization")
     common(p_solve)
-    p_solve.add_argument(
-        "--L",
-        default=None,
-        help="stabilization parameter value or 'optimal' (default: config)",
-    )
+    p_solve.add_argument("--L", dest="solver.L", metavar="L|optimal",
+                         help="override [solver] L, the stabilization parameter")
 
     p_sweep = sub.add_parser("sweep", help="average iterations over the D grid")
     common(p_sweep)
@@ -73,8 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
+    """The config file (or the defaults) with the flags whose dest is a
+    "section.key" applied as raw values of those keys."""
     cfg = load_config(args.config) if args.config else default_config()
-    return cfg
+    raw = {}
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            raw.setdefault(section, {})[key] = value
+    return override(cfg, raw)
 
 
 def _emit(payload: str, out: Path | None) -> None:
@@ -105,7 +111,7 @@ def cmd_estimate(args) -> int:
     ns = _mesh_selection(cfg, args)
     if args.dump_matrices:
         _dump(cfg, ns, args.dump_matrices)
-    report = estimate_report(cfg, mesh_ns=ns, mode=args.mode, seed=args.seed)
+    report = estimate_report(cfg, mesh_ns=ns)
     _emit(json.dumps(report, indent=2), args.out)
     return EXIT_OK
 
@@ -119,13 +125,7 @@ def cmd_solve(args) -> int:
         )
     if args.dump_matrices:
         _dump(cfg, ns, args.dump_matrices)
-    L_spec = args.L
-    if L_spec is not None and L_spec != "optimal":
-        try:
-            L_spec = float(L_spec)
-        except ValueError:
-            raise ConfigError(f"--L expects a number or 'optimal', got {args.L!r}")
-    report = solve_report(cfg, ns[0], L_spec=L_spec, mode=args.mode, seed=args.seed)
+    report = solve_report(cfg, ns[0])
     _emit(json.dumps(report, indent=2), args.out)
     return EXIT_DIVERGED if report["diverged"] else EXIT_OK
 
@@ -135,7 +135,7 @@ def cmd_sweep(args) -> int:
     ns = _mesh_selection(cfg, args)
     if args.dump_matrices:
         _dump(cfg, ns, args.dump_matrices)
-    report = sweep_report(cfg, mesh_ns=ns, mode=args.mode, seed=args.seed)
+    report = sweep_report(cfg, mesh_ns=ns)
     csv_text = report.to_csv_text()
     if args.out is None:
         sys.stdout.write(csv_text)

@@ -1,21 +1,28 @@
 """Experiment configuration: sectioned key-value files, defaults, hashing.
 
 The file format is INI-style with the sections material, temporal, mesh,
-solver, sweep and spectral. Unknown sections or keys are rejected. Every
-section is optional; omitted values fall back to the benchmark defaults
-(granite-like Lame parameters, incompressible and impermeable limit, ten
-implicit Euler steps of 0.1).
+solver, sweep and spectral. Every section and key is optional; omitted
+values fall back to the benchmark defaults (granite-like Lame parameters,
+incompressible and impermeable limit, ten implicit Euler steps of 0.1).
+
+One table, _FIELDS, names every key once. It drives the rejection of
+unknown sections and keys, the parse (numbers must be finite), and
+canonical_text, whose digest config_hash records which inputs produced a
+run. Each value is validated by the dataclass that holds it. The command
+line's --L, --mode and --seed are raw values of [solver] L, [spectral] mode
+and [spectral] seed that `override` applies through the same table, so the
+hash covers them too.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
+import math
 from dataclasses import dataclass, replace
 
 from .assembly import MaterialParams
-from .solver import TimeGrid
+from .solver import SolverConfig, TimeGrid
 
 
 class ConfigError(ValueError):
@@ -61,6 +68,8 @@ class SpectralConfig:
             raise ConfigError(f"spectral tol must be positive, got {self.tol}")
         if self.maxit < 1:
             raise ConfigError(f"spectral maxit must be at least 1, got {self.maxit}")
+        if self.seed < 0:
+            raise ConfigError(f"spectral seed must be nonnegative, got {self.seed}")
 
     @property
     def resolved_tol(self) -> float:
@@ -81,6 +90,15 @@ class ExperimentConfig:
     sweep: SweepGrid = SweepGrid(0.6e11, 1.6e11, 31)
     spectral: SpectralConfig = SpectralConfig()
 
+    def __post_init__(self):
+        if not self.mesh_ns or min(self.mesh_ns) < 1:
+            raise ConfigError(f"mesh sizes must be positive integers, got {self.mesh_ns}")
+        if self.sources not in ("manufactured", "zero"):
+            raise ConfigError(f"sources must be manufactured or zero, got {self.sources!r}")
+        # SolverConfig checks eps_r, max_iter and a numeric L.
+        SolverConfig(L=0.0 if self.L == "optimal" else self.L, eps_r=self.eps_r,
+                     max_iter=self.max_iter)
+
 
 def default_config() -> ExperimentConfig:
     """Benchmark defaults: granite-like parameters in the incompressible,
@@ -92,34 +110,78 @@ def default_config() -> ExperimentConfig:
     )
 
 
-_SCHEMA = {
-    "material": {"mu", "lambda", "alpha", "inv_m", "kappa"},
-    "temporal": {"t0", "tau", "t_end"},
-    "mesh": {"n"},
-    "solver": {"eps_r", "max_iter", "L", "sources"},
-    "sweep": {"d_min", "d_max", "count"},
-    "spectral": {"mode", "tol", "maxit", "seed"},
-}
+def _number(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
 
 
-def _get_float(section, key, current):
-    raw = section.get(key)
-    if raw is None:
-        return current
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key}: not a number: {raw!r}") from exc
+def _stabilization(raw: str):
+    return "optimal" if raw == "optimal" else _number(raw)
 
 
-def _get_int(section, key, current):
-    raw = section.get(key)
-    if raw is None:
-        return current
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key}: not an integer: {raw!r}") from exc
+def _mesh_sizes(raw: str) -> tuple:
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+# (section, key, field, parse): every configuration key, once, in the order
+# of canonical_text. field names the attribute of the section's dataclass,
+# which is cfg.<section> where that exists and cfg itself otherwise.
+_FIELDS = (
+    ("material", "mu", "mu", _number),
+    ("material", "lambda", "lam", _number),
+    ("material", "alpha", "alpha", _number),
+    ("material", "inv_m", "inv_m", _number),
+    ("material", "kappa", "kappa", _number),
+    ("temporal", "t0", "t0", _number),
+    ("temporal", "tau", "tau", _number),
+    ("temporal", "t_end", "t_end", _number),
+    ("mesh", "n", "mesh_ns", _mesh_sizes),
+    ("solver", "eps_r", "eps_r", _number),
+    ("solver", "max_iter", "max_iter", int),
+    ("solver", "L", "L", _stabilization),
+    ("solver", "sources", "sources", str),
+    ("sweep", "d_min", "d_min", _number),
+    ("sweep", "d_max", "d_max", _number),
+    ("sweep", "count", "count", int),
+    ("spectral", "mode", "mode", str),
+    ("spectral", "tol", "tol", _number),
+    ("spectral", "maxit", "maxit", int),
+    ("spectral", "seed", "seed", int),
+)
+
+
+def override(cfg: ExperimentConfig, raw) -> ExperimentConfig:
+    """cfg with raw {section: {key: text}} values parsed through _FIELDS.
+
+    Each section is rebuilt once with dataclasses.replace on its own
+    dataclass, which validates it. A mode set without a tol drops any
+    explicit tol, so the tolerance is the new mode's default.
+    """
+    for section, values in raw.items():
+        fields = {key: (field, parse) for sec, key, field, parse in _FIELDS if sec == section}
+        if not fields:
+            raise ConfigError(f"unknown config section [{section}]")
+        unknown = set(values) - set(fields)
+        if unknown:
+            raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
+        changes = {}
+        for key, text in values.items():
+            field, parse = fields[key]
+            try:
+                changes[field] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        if section == "spectral" and "mode" in changes:
+            changes.setdefault("tol", None)
+        owner = getattr(cfg, section, cfg)
+        try:
+            rebuilt = replace(owner, **changes)
+            cfg = rebuilt if owner is cfg else replace(cfg, **{section: rebuilt})
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {', '.join(values)}: {exc}") from exc
+    return cfg
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -130,116 +192,7 @@ def parse_config(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-
-    for name in parser.sections():
-        if name not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{name}]")
-        unknown = set(parser[name]) - _SCHEMA[name]
-        if unknown:
-            raise ConfigError(
-                f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}"
-            )
-
-    cfg = default_config()
-    try:
-        if parser.has_section("material"):
-            sec = parser["material"]
-            mat = cfg.material
-            cfg = replace(
-                cfg,
-                material=MaterialParams(
-                    mu=_get_float(sec, "mu", mat.mu),
-                    lam=_get_float(sec, "lambda", mat.lam),
-                    alpha=_get_float(sec, "alpha", mat.alpha),
-                    inv_m=_get_float(sec, "inv_m", mat.inv_m),
-                    kappa=_get_float(sec, "kappa", mat.kappa),
-                ),
-            )
-        if parser.has_section("temporal"):
-            sec = parser["temporal"]
-            grid = cfg.temporal
-            cfg = replace(
-                cfg,
-                temporal=TimeGrid(
-                    t0=_get_float(sec, "t0", grid.t0),
-                    tau=_get_float(sec, "tau", grid.tau),
-                    t_end=_get_float(sec, "t_end", grid.t_end),
-                ),
-            )
-        if parser.has_section("mesh"):
-            raw = parser["mesh"].get("n")
-            if raw is not None:
-                try:
-                    ns = tuple(int(tok) for tok in raw.replace(",", " ").split())
-                except ValueError as exc:
-                    raise ConfigError(f"[mesh] n: not an integer list: {raw!r}") from exc
-                if not ns or any(n < 1 for n in ns):
-                    raise ConfigError(f"[mesh] n: need positive integers, got {raw!r}")
-                cfg = replace(cfg, mesh_ns=ns)
-        if parser.has_section("solver"):
-            sec = parser["solver"]
-            L = cfg.L
-            raw_l = sec.get("L")
-            if raw_l is not None:
-                if raw_l.strip() == "optimal":
-                    L = "optimal"
-                else:
-                    try:
-                        L = float(raw_l)
-                    except ValueError as exc:
-                        raise ConfigError(
-                            f"[solver] L: expected a number or 'optimal', got {raw_l!r}"
-                        ) from exc
-            sources = sec.get("sources", cfg.sources)
-            if sources not in ("manufactured", "zero"):
-                raise ConfigError(
-                    f"[solver] sources: expected manufactured or zero, got {sources!r}"
-                )
-            cfg = replace(
-                cfg,
-                eps_r=_get_float(sec, "eps_r", cfg.eps_r),
-                max_iter=_get_int(sec, "max_iter", cfg.max_iter),
-                L=L,
-                sources=sources,
-            )
-        if parser.has_section("sweep"):
-            sec = parser["sweep"]
-            sw = cfg.sweep
-            cfg = replace(
-                cfg,
-                sweep=SweepGrid(
-                    d_min=_get_float(sec, "d_min", sw.d_min),
-                    d_max=_get_float(sec, "d_max", sw.d_max),
-                    count=_get_int(sec, "count", sw.count),
-                ),
-            )
-        if parser.has_section("spectral"):
-            sec = parser["spectral"]
-            sp_cfg = cfg.spectral
-            tol = sp_cfg.tol
-            if sec.get("tol") is not None:
-                tol = _get_float(sec, "tol", tol)
-            cfg = replace(
-                cfg,
-                spectral=SpectralConfig(
-                    mode=sec.get("mode", sp_cfg.mode),
-                    tol=tol,
-                    maxit=_get_int(sec, "maxit", sp_cfg.maxit),
-                    seed=_get_int(sec, "seed", sp_cfg.seed),
-                ),
-            )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-    if cfg.eps_r <= 0.0:
-        raise ConfigError(f"[solver] eps_r must be positive, got {cfg.eps_r}")
-    if cfg.max_iter < 1:
-        raise ConfigError(f"[solver] max_iter must be at least 1, got {cfg.max_iter}")
-    if isinstance(cfg.L, float) and cfg.L < 0.0:
-        raise ConfigError(f"[solver] L must be nonnegative, got {cfg.L}")
-    return cfg
+    return override(default_config(), {name: parser[name] for name in parser.sections()})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -252,37 +205,16 @@ def load_config(path) -> ExperimentConfig:
 
 
 def canonical_text(cfg: ExperimentConfig) -> str:
-    """Deterministic serialization used for provenance hashing."""
-    out = io.StringIO()
-    mat = cfg.material
-    grid = cfg.temporal
-    sw = cfg.sweep
-    spc = cfg.spectral
-    rows = [
-        ("material.mu", repr(mat.mu)),
-        ("material.lambda", repr(mat.lam)),
-        ("material.alpha", repr(mat.alpha)),
-        ("material.inv_m", repr(mat.inv_m)),
-        ("material.kappa", repr(mat.kappa)),
-        ("temporal.t0", repr(grid.t0)),
-        ("temporal.tau", repr(grid.tau)),
-        ("temporal.t_end", repr(grid.t_end)),
-        ("mesh.n", " ".join(str(n) for n in cfg.mesh_ns)),
-        ("solver.eps_r", repr(cfg.eps_r)),
-        ("solver.max_iter", str(cfg.max_iter)),
-        ("solver.L", cfg.L if isinstance(cfg.L, str) else repr(cfg.L)),
-        ("solver.sources", cfg.sources),
-        ("sweep.d_min", repr(sw.d_min)),
-        ("sweep.d_max", repr(sw.d_max)),
-        ("sweep.count", str(sw.count)),
-        ("spectral.mode", spc.mode),
-        ("spectral.tol", repr(spc.resolved_tol)),
-        ("spectral.maxit", str(spc.maxit)),
-        ("spectral.seed", str(spc.seed)),
-    ]
-    for key, value in rows:
-        out.write(f"{key}={value}\n")
-    return out.getvalue()
+    """Deterministic serialization used for provenance hashing: one
+    section.key=value line per _FIELDS row, with the tolerance the
+    estimator uses whether it was set or defaulted."""
+    cfg = replace(cfg, spectral=replace(cfg.spectral, tol=cfg.spectral.resolved_tol))
+    lines = []
+    for section, key, field, _ in _FIELDS:
+        value = getattr(getattr(cfg, section, cfg), field)
+        text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        lines.append(f"{section}.{key}={text}\n")
+    return "".join(lines)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -57,18 +57,6 @@ def _problem(cfg: ExperimentConfig, n: int) -> TransientProblem:
     return build_problem(n, cfg.material, sources=sources)
 
 
-def _with_overrides(cfg: ExperimentConfig, mode: str | None,
-                    seed: int | None) -> ExperimentConfig:
-    """cfg with the CLI's spectral --mode/--seed overrides applied, so that
-    a report's config_hash covers the settings its estimates used."""
-    spc = cfg.spectral
-    if mode is not None:
-        spc = dataclasses.replace(spc, mode=mode, tol=None)
-    if seed is not None:
-        spc = dataclasses.replace(spc, seed=seed)
-    return dataclasses.replace(cfg, spectral=spc)
-
-
 def _estimates(cfg: ExperimentConfig, problem: TransientProblem) -> SpectralEstimates:
     spc = cfg.spectral
     return estimate_spectrum(
@@ -94,10 +82,8 @@ def estimates_to_dict(n: int, est: SpectralEstimates, alpha: float) -> dict:
     }
 
 
-def estimate_report(cfg: ExperimentConfig, mesh_ns=None, mode: str | None = None,
-                    seed: int | None = None) -> dict:
+def estimate_report(cfg: ExperimentConfig, mesh_ns=None) -> dict:
     """Spectral estimates and derived parameters for every requested mesh."""
-    cfg = _with_overrides(cfg, mode, seed)
     ns = tuple(mesh_ns) if mesh_ns else cfg.mesh_ns
     meshes = []
     for n in ns:
@@ -113,18 +99,14 @@ def estimate_report(cfg: ExperimentConfig, mesh_ns=None, mode: str | None = None
     }
 
 
-def solve_report(cfg: ExperimentConfig, n: int, L_spec=None,
-                 mode: str | None = None, seed: int | None = None) -> dict:
-    """Time-march one mesh at a fixed or estimator-chosen stabilization."""
-    cfg = _with_overrides(cfg, mode, seed)
+def solve_report(cfg: ExperimentConfig, n: int) -> dict:
+    """Time-march one mesh at cfg.L, a fixed value or "optimal" (estimated)."""
     problem = _problem(cfg, n)
-    L_spec = cfg.L if L_spec is None else L_spec
-    if L_spec == "optimal":
-        est = _estimates(cfg, problem)
-        L = est.l_opt
+    if cfg.L == "optimal":
+        L = _estimates(cfg, problem).l_opt
         l_mode = "optimal"
     else:
-        L = float(L_spec)
+        L = float(cfg.L)
         l_mode = "fixed"
     solver = SolverConfig(L=L, eps_r=cfg.eps_r, max_iter=cfg.max_iter)
     result = time_march(problem, solver, cfg.temporal)
@@ -193,16 +175,12 @@ class SweepReport:
         }
 
 
-def sweep_report(cfg: ExperimentConfig, mesh_ns=None, mode: str | None = None,
-                 seed: int | None = None) -> SweepReport:
+def sweep_report(cfg: ExperimentConfig, mesh_ns=None) -> SweepReport:
     """Run the stabilization sweep over every (mesh, D) pair.
 
-    mode and seed override the spectral settings of the per-mesh estimates,
-    as in estimate_report. A non-convergent row is recorded with the
-    iteration cap as its average and the divergence flag set; an exception
-    from a row propagates.
+    A non-convergent row is recorded with the iteration cap as its average
+    and the divergence flag set; an exception from a row propagates.
     """
-    cfg = _with_overrides(cfg, mode, seed)
     ns = tuple(mesh_ns) if mesh_ns else cfg.mesh_ns
     alpha = cfg.material.alpha
     rows = []

@@ -57,7 +57,7 @@ class SpectralEstimates:
     each step is one Schur apply; the count leaves out the two products of
     each certificate. residuals are the relative inv(Mp)-norm
     eigen-residuals of (lambda_max, lambda_min); converged is False when
-    the step cap was reached first.
+    the step cap or the rounding floor was reached first.
     """
 
     lambda_max: float
@@ -120,8 +120,10 @@ def _extreme_eigs(pen: Pencil, which: str, tol: float, maxit: int, seed: int):
     (theta, y) has the residual estimate |beta_j s_j| / |theta|, with s_j
     the last entry of its eigenvector of the tridiagonal T_j. Once every
     wanted estimate is within tol the explicit certificate is computed, and
-    the run stops when it passes, after min(maxit, size) steps, or when the
-    Krylov space is invariant (beta_j == 0).
+    the run stops when it passes, after min(maxit, size) steps, when the
+    Krylov space is invariant (beta_j == 0), or when a failed certificate is
+    no better than the previous failed one: the residuals have reached the
+    rounding floor, and further steps would only repeat the certificate.
 
     Returns (values, residuals, applies, converged): the eigenvalues in
     ascending order, their relative inv(M)-norm eigen-residuals, the number
@@ -139,6 +141,7 @@ def _extreme_eigs(pen: Pencil, which: str, tol: float, maxit: int, seed: int):
     norm = np.sqrt(q @ Mq)
     Q, MQ = (q / norm)[None], (Mq / norm)[None]
     alpha, beta = [], []
+    failed = np.inf  # worst residual of the last failed certificate
     for j in range(1, steps + 1):
         r = pen.Minv.matvec(pen.K.matvec(Q[-1]))
         coef = 0.0
@@ -158,8 +161,9 @@ def _extreme_eigs(pen: Pencil, which: str, tol: float, maxit: int, seed: int):
                 err = pen.Minv.matvec(pen.K.matvec(v)) - lam * v
                 residuals.append(m_norm(pen.M, err) / max(abs(lam) * m_norm(pen.M, v), 1e-300))
             converged = all(res <= tol for res in residuals)
-            if converged or last:
+            if converged or last or max(residuals) >= failed:
                 return values, residuals, j, converged
+            failed = max(residuals)
         Q, MQ = np.vstack((Q, r / beta[-1])), np.vstack((MQ, Mr / beta[-1]))
 
 
@@ -231,8 +235,9 @@ def estimate_spectrum(system: BiotSystem, tol: float = 1e-8,
 
     tol is the relative eigen-residual every returned pair must meet for
     the estimate to count as converged, maxit the cap on Lanczos steps
-    (Schur applies) and seed fixes the start vector. At the cap the Ritz
-    values of the last step are returned with converged=False.
+    (Schur applies) and seed fixes the start vector. At the cap, or when
+    the residuals stall above tol at the rounding floor, the Ritz values of
+    the last step are returned with converged=False.
     """
     pen = pencil(lambda p: schur_apply(system, p), system.Mp.__matmul__,
                  system.m_solve, system.n_p)

@@ -1,7 +1,31 @@
+import re
+from pathlib import Path
+
 import pytest
 
 import biotfs as bf
 from biotfs.config import ConfigError, canonical_text, parse_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# A configuration whose values all differ from the defaults.
+NON_DEFAULT = """
+[material]
+mu = 1.0e9
+lambda = 2.0e9
+[mesh]
+n = 4, 8
+[solver]
+L = optimal
+max_iter = 50
+[sweep]
+d_min = 1e10
+d_max = 2e10
+count = 5
+[spectral]
+mode = coarse
+seed = 42
+"""
 
 
 def test_defaults_reproduce_benchmark_values():
@@ -19,25 +43,7 @@ def test_defaults_reproduce_benchmark_values():
 
 
 def test_parse_overrides():
-    cfg = parse_config(
-        """
-[material]
-mu = 1.0e9
-lambda = 2.0e9
-[mesh]
-n = 4, 8
-[solver]
-L = optimal
-max_iter = 50
-[sweep]
-d_min = 1e10
-d_max = 2e10
-count = 5
-[spectral]
-mode = coarse
-seed = 42
-"""
-    )
+    cfg = parse_config(NON_DEFAULT)
     assert cfg.material.mu == 1.0e9
     assert cfg.material.lam == 2.0e9
     assert cfg.mesh_ns == (4, 8)
@@ -107,3 +113,68 @@ def test_hash_deterministic_and_sensitive():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         bf.load_config(tmp_path / "absent.ini")
+
+
+def test_non_default_hash_is_stable():
+    assert bf.config_hash(parse_config(NON_DEFAULT)) == (
+        "81c8ae47a101137c170b4d6c1deacde84eddad3c54fedf56a0dd1daf3b88fee5"
+    )
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("material", "mu", "1e9"),
+        ("material", "lambda", "1e9"),
+        ("material", "alpha", "0.5"),
+        ("material", "inv_m", "1e-10"),
+        ("material", "kappa", "-0.0"),  # the only admissible kappa is zero
+        ("temporal", "t0", "0.5"),
+        ("temporal", "tau", "0.05"),
+        ("temporal", "t_end", "2.0"),
+        ("mesh", "n", "8"),
+        ("solver", "eps_r", "1e-8"),
+        ("solver", "max_iter", "50"),
+        ("solver", "L", "1e-11"),
+        ("solver", "sources", "zero"),
+        ("sweep", "d_min", "1e10"),
+        ("sweep", "d_max", "2e11"),
+        ("sweep", "count", "5"),
+        ("spectral", "mode", "coarse"),
+        ("spectral", "tol", "1e-6"),
+        ("spectral", "maxit", "100"),
+        ("spectral", "seed", "42"),
+    ],
+)
+def test_every_key_reaches_the_hash(section, key, value):
+    changed = parse_config(f"[{section}]\n{key} = {value}\n")
+    assert bf.config_hash(changed) != bf.config_hash(bf.default_config())
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("material", "mu", "nan"),
+        ("material", "lambda", "inf"),
+        ("temporal", "t_end", "inf"),
+        ("temporal", "tau", "nan"),
+        ("solver", "eps_r", "nan"),
+        ("solver", "L", "nan"),
+        ("solver", "L", "inf"),
+        ("sweep", "d_max", "inf"),
+        ("spectral", "tol", "inf"),
+    ],
+)
+def test_non_finite_numbers_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+        parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match=r"\[spectral\] seed"):
+        parse_config("[spectral]\nseed = -1\n")
+
+
+def test_readme_example_config_is_the_default():
+    (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert parse_config(block) == bf.default_config()

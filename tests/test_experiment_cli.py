@@ -43,8 +43,8 @@ def test_estimate_report_structure_and_roundtrip(small_cfg):
 
 
 def test_estimate_coarse_close_to_fine(small_cfg):
-    fine = estimate_report(small_cfg, mode="fine")["meshes"][0]
-    coarse = estimate_report(small_cfg, mode="coarse")["meshes"][0]
+    fine = estimate_report(small_cfg)["meshes"][0]
+    coarse = estimate_report(parse_config(SMALL_CFG + "mode = coarse\n"))["meshes"][0]
     assert abs(coarse["l_opt"] - fine["l_opt"]) <= 0.02 * fine["l_opt"]
 
 
@@ -65,45 +65,59 @@ def test_estimate_degenerate_spectrum_reports_zero_rho(params):
 
 
 def test_solve_report_zero_sources_average_one(small_cfg):
-    cfg = dataclasses.replace(small_cfg, sources="zero")
-    report = solve_report(cfg, 4, L_spec=1e-11)
+    cfg = dataclasses.replace(small_cfg, sources="zero", L=1e-11)
+    report = solve_report(cfg, 4)
     assert report["average_iterations"] == 1.0
     assert not report["diverged"]
 
 
 def test_solve_report_optimal_not_worse_than_physical(small_cfg):
     L_phys = small_cfg.material.alpha**2 / small_cfg.material.drained_bulk_modulus
-    opt = solve_report(small_cfg, 8, L_spec="optimal")
-    phys = solve_report(small_cfg, 8, L_spec=L_phys)
+    opt = solve_report(small_cfg, 8)
+    phys = solve_report(dataclasses.replace(small_cfg, L=L_phys), 8)
     assert opt["L_mode"] == "optimal"
     assert opt["average_iterations"] <= phys["average_iterations"]
 
 
 def test_solve_report_divergence_flag(small_cfg):
-    cfg = dataclasses.replace(small_cfg, max_iter=1)
-    report = solve_report(cfg, 4, L_spec=1e-11)
+    cfg = dataclasses.replace(small_cfg, max_iter=1, L=1e-11)
+    report = solve_report(cfg, 4)
     assert report["diverged"]
 
 
-def _hash_of(kind, cfg, **overrides):
-    if kind == "estimate":
-        return estimate_report(cfg, **overrides)["config_hash"]
+def _cli_hash(tmp_path, kind, text, *flags):
+    path = _write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    argv = [kind, "--config", str(path), "--out", str(out), *flags]
     if kind == "solve":
-        return solve_report(cfg, 4, L_spec="optimal", **overrides)["config_hash"]
-    return sweep_report(cfg, **overrides).config_hash
+        argv += ["--mesh-n", "4"]
+    assert main(argv) == 0
+    if kind == "sweep":
+        out = tmp_path / "out.json"
+    return json.loads(out.read_text())["config_hash"]
 
 
 @pytest.mark.parametrize("kind", ["estimate", "solve", "sweep"])
-def test_config_hash_covers_seed_and_mode_overrides(small_cfg, kind):
+def test_config_hash_covers_seed_and_mode_overrides(tmp_path, kind):
     # A report's hash covers the spectral settings its estimates used,
     # whether they came from the config file or from --seed/--mode.
     seed7 = parse_config(SMALL_CFG + "seed = 7\n")
     coarse = parse_config(SMALL_CFG + "mode = coarse\n")
-    default = _hash_of(kind, small_cfg)
-    assert default == bf.config_hash(small_cfg)
-    assert _hash_of(kind, small_cfg, seed=7) == _hash_of(kind, seed7) != default
-    assert _hash_of(kind, small_cfg, seed=1) == default
-    assert _hash_of(kind, small_cfg, mode="coarse") == bf.config_hash(coarse) != default
+    default = _cli_hash(tmp_path, kind, SMALL_CFG)
+    assert default == bf.config_hash(parse_config(SMALL_CFG))
+    assert _cli_hash(tmp_path, kind, SMALL_CFG, "--seed", "7") == bf.config_hash(seed7) != default
+    assert _cli_hash(tmp_path, kind, SMALL_CFG, "--seed", "1") == default
+    by_mode = _cli_hash(tmp_path, kind, SMALL_CFG, "--mode", "coarse")
+    assert by_mode == bf.config_hash(coarse) != default
+    # --mode drops an explicit tol back to the mode's default.
+    explicit_tol = SMALL_CFG + "tol = 1e-5\n"
+    assert _cli_hash(tmp_path, kind, explicit_tol, "--mode", "coarse") == bf.config_hash(coarse)
+
+
+def test_cli_solve_hash_covers_L(tmp_path):
+    by_flag = _cli_hash(tmp_path, "solve", SMALL_CFG, "--L", "1e-11")
+    assert by_flag == _cli_hash(tmp_path, "solve", SMALL_CFG + "[solver]\nL = 1e-11\n")
+    assert by_flag != _cli_hash(tmp_path, "solve", SMALL_CFG, "--L", "2e-11")
 
 
 def test_sweep_rows_and_invariants(small_cfg):
@@ -238,6 +252,12 @@ def test_cli_solve_requires_single_mesh(tmp_path, capsys):
     code = main(["solve", "--config", str(cfg), "--L", "1e-11"])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [["--L", "-1"], ["--L", "nan"], ["--seed", "-1"]])
+def test_cli_rejects_bad_override(capsys, flags):
+    assert main(["solve", "--mesh-n", "4", *flags]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit(tmp_path, capsys):

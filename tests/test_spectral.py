@@ -162,6 +162,25 @@ def test_fine_estimate_stops_at_first_certified_step_n16(system16, seed):
     assert est.iterations_used[0] <= 30
 
 
+def test_failed_certificate_not_retried_at_rounding_floor(problem16, monkeypatch):
+    # Below the rounding floor every certificate fails; recomputing it at
+    # each later step took 613 Schur applies for 225 Lanczos steps here.
+    import biotfs.spectral
+
+    calls = []
+    original = biotfs.spectral.schur_apply
+
+    def counted(system, p):
+        calls.append(None)
+        return original(system, p)
+
+    monkeypatch.setattr(biotfs.spectral, "schur_apply", counted)
+    est = bf.estimate_spectrum(problem16.system, tol=1e-15, seed=1)
+    assert len(calls) - est.iterations_used[0] <= 4
+    assert est.converged is False
+    assert 0.0 < est.lambda_min <= est.lambda_max
+
+
 def test_estimate_spectrum_is_deterministic(system16):
     first = bf.estimate_spectrum(system16, tol=1e-8, seed=1)
     assert bf.estimate_spectrum(system16, tol=1e-8, seed=1) == first
