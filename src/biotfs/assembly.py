@@ -226,7 +226,7 @@ def assemble_coupling(mesh: Mesh, dofs: DofMap, alpha: float) -> sp.csr_matrix:
     rows = mesh.triangles[:, :, None]
     cols = _u_dof_indices(dofs)[:, None, :]
     shape = (dofs.num_pressure_dofs, dofs.num_displacement_dofs)
-    return _scatter(local, np.broadcast_to(rows, local.shape), np.broadcast_to(cols, local.shape), shape)
+    return _scatter(local, rows, cols, shape)
 
 
 def assemble_pressure_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
@@ -236,15 +236,8 @@ def assemble_pressure_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     local = np.einsum(
         "q,qv,qw,e->evw", TRIANGLE_QUAD_WEIGHTS, vals, vals, det, optimize=True
     )
-    rows = mesh.triangles[:, :, None]
-    cols = mesh.triangles[:, None, :]
     nv = dofs.num_pressure_dofs
-    return _scatter(
-        local,
-        np.broadcast_to(rows, local.shape),
-        np.broadcast_to(cols, local.shape),
-        (nv, nv),
-    )
+    return _scatter(local, mesh.triangles[:, :, None], mesh.triangles[:, None, :], (nv, nv))
 
 
 def assemble_divdiv(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:

@@ -39,13 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", type=Path, help="configuration file (INI sections)")
-        p.add_argument(
-            "--mesh-n", type=int, help="run one mesh resolution (not part of config_hash)"
-        )
         p.add_argument("--seed", dest="spectral.seed", metavar="N",
                        help="override [spectral] seed")
-        p.add_argument("--mode", dest="spectral.mode", metavar="fine|coarse",
-                       help="override [spectral] mode and reset [spectral] tol to its default")
         p.add_argument("--out", type=Path, help="output path (default: stdout)")
         p.add_argument(
             "--dump-matrices",
@@ -54,19 +49,21 @@ def build_parser() -> argparse.ArgumentParser:
             help="dump reduced operators in Matrix Market format per mesh",
         )
 
-    p_est = sub.add_parser("estimate", help="spectral estimates and optimal parameters")
-    common(p_est)
+    def runs(p):
+        common(p)
+        p.add_argument(
+            "--mesh-n", type=int, help="run one mesh resolution (not part of config_hash)"
+        )
+        p.add_argument("--mode", dest="spectral.mode", metavar="fine|coarse",
+                       help="override [spectral] mode and reset [spectral] tol to its default")
+        return p
 
-    p_solve = sub.add_parser("solve", help="time march one mesh at a stabilization")
-    common(p_solve)
+    runs(sub.add_parser("estimate", help="spectral estimates and optimal parameters"))
+    p_solve = runs(sub.add_parser("solve", help="time march one mesh at a stabilization"))
     p_solve.add_argument("--L", dest="solver.L", metavar="L|optimal",
                          help="override [solver] L, the stabilization parameter")
-
-    p_sweep = sub.add_parser("sweep", help="average iterations over the D grid")
-    common(p_sweep)
-
-    p_verify = sub.add_parser("verify", help="dense-oracle verification battery")
-    common(p_verify)
+    runs(sub.add_parser("sweep", help="average iterations over the D grid"))
+    common(sub.add_parser("verify", help="dense-oracle verification battery"))
 
     return parser
 
@@ -136,12 +133,8 @@ def cmd_sweep(args) -> int:
     if args.dump_matrices:
         _dump(cfg, ns, args.dump_matrices)
     report = sweep_report(cfg, mesh_ns=ns)
-    csv_text = report.to_csv_text()
-    if args.out is None:
-        sys.stdout.write(csv_text)
-    else:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(csv_text, encoding="utf-8")
+    _emit(report.to_csv_text(), args.out)
+    if args.out is not None:
         sidecar = args.out.with_suffix(args.out.suffix + ".json")
         sidecar.write_text(json.dumps(report.to_json_dict(), indent=2), encoding="utf-8")
     return EXIT_OK
@@ -164,8 +157,7 @@ def cmd_verify(args) -> int:
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(report, indent=2), encoding="utf-8")
+        _emit(json.dumps(report, indent=2), args.out)
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 

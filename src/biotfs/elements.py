@@ -35,10 +35,6 @@ def p1_values(points: np.ndarray) -> np.ndarray:
     return np.column_stack([1.0 - xi - eta, xi, eta])
 
 
-# Constant hat-function gradients on the reference triangle, shape (3, 2).
-P1_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-
-
 def p2_values(points: np.ndarray) -> np.ndarray:
     """Quadratic basis values at reference points, shape (npts, 6).
 

@@ -157,11 +157,6 @@ class DofMap:
         return self.mesh.num_vertices
 
     @property
-    def u_dof_tags(self) -> np.ndarray:
-        """Per-dof displacement tags (both components share the node tag)."""
-        return np.repeat(self.u_node_tags, 2)
-
-    @property
     def free_u(self) -> np.ndarray:
         """Indices of displacement dofs kept after Dirichlet elimination."""
         nodes = np.flatnonzero(self.u_node_tags != DofTag.DIRICHLET_MOMENTUM)

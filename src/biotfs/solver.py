@@ -96,8 +96,6 @@ class IterationTrace:
     solution_norms: list = field(default_factory=list)  # (p_M, u_A)
     iterations: int = 0
     converged: bool = False
-    pressure_iterates: list | None = None
-    displacement_iterates: list | None = None
 
 
 def fixed_stress_step(
@@ -128,7 +126,6 @@ def fixed_stress_solve(
     config: SolverConfig,
     u_init: np.ndarray | None = None,
     p_init: np.ndarray | None = None,
-    record_iterates: bool = False,
 ):
     """Iterate the splitting scheme to the relative increment tolerance.
 
@@ -149,10 +146,7 @@ def fixed_stress_solve(
     p = np.zeros(system.n_p) if p_init is None else np.asarray(p_init, float).copy()
     load_prev = np.zeros(system.n_u) if u_init is None else system.A @ u
     load = np.empty(system.n_u)
-    trace = IterationTrace(
-        pressure_iterates=[] if record_iterates else None,
-        displacement_iterates=[] if record_iterates else None,
-    )
+    trace = IterationTrace()
     for i in range(1, config.max_iter + 1):
         u_next, p_next = fixed_stress_step(system, u, p, config.L, load_out=load)
         dp = m_norm(system.Mp, p_next - p)
@@ -162,9 +156,6 @@ def fixed_stress_solve(
         load, load_prev = load_prev, load
         trace.increment_norms.append((dp, du))
         trace.solution_norms.append((pn, un))
-        if record_iterates:
-            trace.pressure_iterates.append(p_next.copy())
-            trace.displacement_iterates.append(u_next.copy())
         u, p = u_next, p_next
         trace.iterations = i
         if not (np.isfinite(dp) and np.isfinite(du) and np.isfinite(pn) and np.isfinite(un)):

@@ -172,16 +172,13 @@ def estimate_k_star(problem, tol: float = 1e-8, maxit: int = 50000,
     """Sharpest constant k with  u'Au >= k * ||div u||^2  on the free space.
 
     Computed as the reciprocal of the largest eigenvalue of the pencil
-    (Ddiv, A) of a problem (Ddiv assembled for this call from its mesh and
-    dofs), or of an explicitly given Pencil; it is at least the physical
-    drained bulk modulus and depends on the boundary conditions.
+    (Ddiv, A) of a problem, with Ddiv assembled for this call from its mesh
+    and dofs; it is at least the physical drained bulk modulus and depends
+    on the boundary conditions.
     """
-    if isinstance(problem, Pencil):
-        pen = problem
-    else:
-        system = problem.system
-        ddiv = reduced_divdiv(problem.mesh, problem.dofs)
-        pen = pencil(ddiv.__matmul__, system.A.__matmul__, system.a_solve, system.n_u)
+    system = problem.system
+    ddiv = reduced_divdiv(problem.mesh, problem.dofs)
+    pen = pencil(ddiv.__matmul__, system.A.__matmul__, system.a_solve, system.n_u)
     (value,), _, _, _ = _extreme_eigs(pen, "LA", tol, maxit, seed)
     if value <= 0.0:
         raise EstimationError(

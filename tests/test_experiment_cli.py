@@ -1,11 +1,14 @@
+import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import biotfs as bf
-from biotfs.cli import main
+from biotfs.cli import build_parser, main
 from biotfs.config import parse_config
 from biotfs.experiment import estimate_report, solve_report, sweep_report, verify_report
 
@@ -21,9 +24,17 @@ maxit = 100000
 """
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 @pytest.fixture(scope="module")
 def small_cfg():
     return parse_config(SMALL_CFG)
+
+
+@pytest.fixture(scope="module")
+def small_verify(small_cfg):
+    return verify_report(small_cfg)
 
 
 def test_estimate_report_structure_and_roundtrip(small_cfg):
@@ -193,13 +204,19 @@ def test_sweep_propagates_a_failing_row(small_cfg, monkeypatch):
         sweep_report(small_cfg)
 
 
-def test_verify_report_known_outcome(small_cfg):
+def test_verify_report_known_outcome(small_verify):
     # Every check passes except the div-div route identification, which is
     # structurally loose for this element pair (see README).
-    report = verify_report(small_cfg)
-    failing = {c["name"] for c in report["checks"] if not c["passed"]}
+    failing = {c["name"] for c in small_verify["checks"] if not c["passed"]}
     assert failing == {"kstar_route_vs_lambda_max_n4"}
-    assert not report["passed"]
+    assert not small_verify["passed"]
+
+
+def test_verify_rows_agree_with_their_bounds(small_verify):
+    # A row reads "measured op bound"; its verdict must be that comparison.
+    for c in small_verify["checks"]:
+        holds = c["measured"] <= c["bound"] if c["op"] == "<=" else c["measured"] > c["bound"]
+        assert c["passed"] == holds, c["name"]
 
 
 def _write_cfg(tmp_path, text=SMALL_CFG):
@@ -258,6 +275,31 @@ def test_cli_solve_requires_single_mesh(tmp_path, capsys):
 def test_cli_rejects_bad_override(capsys, flags):
     assert main(["solve", "--mesh-n", "4", *flags]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--mode", "coarse"], ["--mesh-n", "16"]])
+def test_cli_verify_rejects_flags_it_does_not_read(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *flags])
+    assert exc.value.code == 2
+
+
+def test_readme_usage_matches_the_parser():
+    # Each command's usage line in the README lists exactly the flags its
+    # parser accepts, except --dump-matrices, documented for all commands.
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    (block,) = re.findall(r"```sh\n(.*?)```", block.split("\n## ", 1)[0], re.S)
+    usage = {}
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        usage[words[1]] = set(re.findall(r"--[A-Za-z-]+", " ".join(words[2:])))
+    (commands,) = [
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert set(usage) == set(commands)
+    for name, parser in commands.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == usage[name] | {"--dump-matrices"}, name
 
 
 def test_cli_config_error_exit(tmp_path, capsys):

@@ -133,17 +133,20 @@ def test_dof_count_formula():
 
 
 def test_top_edge_neumann_both_components():
-    # brute-force scan of every node coordinate
+    # brute-force scan of every node coordinate; both components of a node
+    # are kept or eliminated together
     d = bf.build_taylor_hood_dofs(bf.build_structured_mesh(4))
-    tags = d.u_dof_tags
+    free = set(d.free_u.tolist())
     for k, (x, y) in enumerate(d.node_coords):
         expected = DofTag.INTERIOR
         if x in (0.0, 1.0) or y in (0.0, 1.0):
             expected = DofTag.DIRICHLET_MOMENTUM
         if y == 1.0 and 0.0 < x < 1.0:
             expected = DofTag.NEUMANN_TOP
-        assert tags[2 * k] == expected
-        assert tags[2 * k + 1] == expected
+        assert d.u_node_tags[k] == expected
+        kept = expected != DofTag.DIRICHLET_MOMENTUM
+        assert (2 * k in free) == kept
+        assert (2 * k + 1 in free) == kept
 
 
 def test_top_corners_are_dirichlet():
