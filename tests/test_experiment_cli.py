@@ -212,6 +212,45 @@ def test_verify_report_known_outcome(small_verify):
     assert not small_verify["passed"]
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("[material]\ninv_m = 1e-11\n", set()),
+        ("[material]\ninv_m = 3e-12\nalpha = 0.9\n[spectral]\nseed = 3\n", set()),
+        ("[material]\nmu = 1e6\nlambda = 1e6\ninv_m = 1e-6\n", set()),
+        # Where inv_m dominates the spectrum, l_opt = (lambda_max +
+        # lambda_min) / 2 - inv_m is a small difference, and the coarse
+        # estimate's 1e-3 residual becomes ~10% of it (see README).
+        ("[material]\ninv_m = 1e-9\n", {"coarse_vs_fine_lopt_n8"}),
+    ],
+    ids=["inv_m-1e-11", "alpha-0.9-seed-3", "soft-inv_m-1e-6", "inv_m-1e-9"],
+)
+def test_verify_report_compressible_outcome(text, expected):
+    # The contraction and divergence checks run on the error equation and
+    # hold for every compressibility.
+    report = verify_report(parse_config(text))
+    failing = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failing == {"kstar_route_vs_lambda_max_n4"} | expected
+
+
+@pytest.mark.parametrize(
+    "text, read",
+    [
+        (SMALL_CFG, ""),
+        ("[spectral]\nmode = coarse\n[solver]\nL = 1e-11\neps_r = 1e-8\n", ""),
+        (SMALL_CFG + "seed = 7\n", "[spectral]\nseed = 7\n"),
+        ("[mesh]\nn = 8\n[temporal]\ntau = 0.2\n", "[temporal]\ntau = 0.2\n"),
+    ],
+    ids=["mesh-sweep-maxit", "mode-solver", "seed", "tau"],
+)
+def test_verify_hash_covers_only_what_the_battery_reads(text, read):
+    # Keys the battery never reads change neither its checks nor its hash.
+    report = verify_report(parse_config(text))
+    reference = verify_report(parse_config(read))
+    assert report["config_hash"] == bf.config_hash(parse_config(read))
+    assert report == reference
+
+
 def test_verify_rows_agree_with_their_bounds(small_verify):
     # A row reads "measured op bound"; its verdict must be that comparison.
     for c in small_verify["checks"]:
