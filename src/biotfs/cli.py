@@ -18,7 +18,6 @@ from .experiment import (
     solve_report,
     sweep_report,
     verify_report,
-    _problem,
 )
 
 EXIT_OK = 0
@@ -92,7 +91,7 @@ def _emit(payload: str, out: Path | None) -> None:
 
 def _dump(cfg, ns, directory: Path) -> None:
     for n in ns:
-        dump_system(_problem(cfg, n), directory / f"n{n}")
+        dump_system(n, cfg.material, directory / f"n{n}")
 
 
 def _mesh_selection(cfg, args):

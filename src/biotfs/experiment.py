@@ -27,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import BiotSystem, reduced_divdiv
+from .assembly import BiotSystem, MaterialParams, build_system, reduced_divdiv
 from .config import ExperimentConfig, config_hash, default_config
 from .linalg import dense_generalized_symmetric_eigen, m_norm, save_matrix_market
-from .mesh import write_mesh_text
+from .mesh import build_structured_mesh, build_taylor_hood_dofs, write_mesh_text
 from .solver import (
     SolverConfig,
     TransientProblem,
@@ -305,26 +305,24 @@ def verify_report(cfg: ExperimentConfig) -> dict:
         )
     checks.append(Check.le("schur_symmetry_n4", sym_err / scale, 1e-10))
 
-    # Richardson equivalence and contraction on a slightly larger mesh.
-    # The system carries the first-step loads of the built-in sources.
+    # Richardson equivalence and contraction on a slightly larger mesh,
+    # under the first-step loads of the built-in sources.
     prob8 = build_problem(8, params, sources="manufactured")
-    tau = cfg.temporal.tau
-    f8, g8 = step_loads(prob8, tau, tau, np.zeros(prob8.system.n_u),
-                        np.zeros(prob8.system.n_p))
-    sys8 = dataclasses.replace(prob8.system, f=f8, g=g8)
+    sys8, tau = prob8.system, cfg.temporal.tau
+    f8, g8 = step_loads(prob8, tau, tau, np.zeros(sys8.n_u), np.zeros(sys8.n_p))
     _, _, w8, v8 = _dense_pencil(sys8)
     lmax8 = float(w8[-1])
     est8 = optimal_parameters(lmax8, float(w8[0]), params)
 
     L_phys = alpha2 / params.drained_bulk_modulus
     omega = 1.0 / (L_phys + params.inv_m)
-    gt = schur_rhs(sys8)
+    gt = schur_rhs(sys8, f8, g8)
     p_fs = np.zeros(sys8.n_p)
-    u_fs = sys8.a_solve(sys8.f + sys8.B.T @ p_fs)
+    u_fs = sys8.a_solve(f8 + sys8.B.T @ p_fs)
     p_ri = p_fs.copy()
     eq_err = 0.0
     for _ in range(20):
-        u_fs, p_fs = fixed_stress_step(sys8, u_fs, p_fs, L_phys)
+        u_fs, p_fs = fixed_stress_step(sys8, f8, g8, u_fs, p_fs, L_phys)
         p_ri = richardson_step(sys8, p_ri, omega, g_tilde=gt)
         eq_err = max(
             eq_err,
@@ -359,9 +357,9 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     )
 
     # Hash only what the battery reads: the material, time grid and seed.
-    base = default_config()
-    read = dataclasses.replace(base, material=params, temporal=cfg.temporal,
-                               spectral=dataclasses.replace(base.spectral, seed=seed))
+    defaults = default_config()
+    read = dataclasses.replace(defaults, material=params, temporal=cfg.temporal,
+                               spectral=dataclasses.replace(defaults.spectral, seed=seed))
     return {
         "schema": "biotfs.verify/1",
         "version": __version__,
@@ -371,13 +369,16 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     }
 
 
-def dump_system(problem: TransientProblem, directory) -> None:
-    """Write the reduced operators (Matrix Market) and the mesh dump."""
+def dump_system(n: int, params: MaterialParams, directory) -> None:
+    """Write the reduced operators of the n x n mesh (Matrix Market) and the
+    mesh dump. It assembles them with `build_system`, so nothing is factored."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    sys_red = problem.system
+    mesh = build_structured_mesh(n)
+    dofs = build_taylor_hood_dofs(mesh)
+    sys_red = build_system(mesh, dofs, params)
     save_matrix_market(directory / "A.mtx", sys_red.A)
     save_matrix_market(directory / "B.mtx", sys_red.B)
     save_matrix_market(directory / "Mp.mtx", sys_red.Mp)
-    save_matrix_market(directory / "Ddiv.mtx", reduced_divdiv(problem.mesh, problem.dofs))
-    write_mesh_text(problem.mesh, directory / "mesh.txt")
+    save_matrix_market(directory / "Ddiv.mtx", reduced_divdiv(mesh, dofs))
+    write_mesh_text(mesh, directory / "mesh.txt")

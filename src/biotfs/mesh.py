@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
+
+from .elements import TRIANGLE_QUAD_POINTS
 
 
 class DofTag(IntEnum):
@@ -55,6 +58,39 @@ class Mesh:
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
+
+    @cached_property
+    def geometry(self):
+        """Per-triangle affine map data, once per mesh: corners, Jacobian, det, inv(J)'."""
+        v = self.vertices[self.triangles]
+        jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        if np.any(det <= 0.0):
+            raise ValueError("mesh contains a degenerate or inverted triangle")
+        inv_jt = np.empty_like(jac)
+        inv_jt[:, 0, 0] = jac[:, 1, 1]
+        inv_jt[:, 0, 1] = -jac[:, 1, 0]
+        inv_jt[:, 1, 0] = -jac[:, 0, 1]
+        inv_jt[:, 1, 1] = jac[:, 0, 0]
+        inv_jt /= det[:, None, None]
+        return _read_only(v, jac, det, inv_jt)
+
+    @cached_property
+    def quad_coords(self):
+        """Physical coordinates of all quadrature points, two (nt, nq) arrays,
+        once per mesh; every step's loads evaluate their sources there."""
+        v, jac, _, _ = self.geometry
+        pts = v[:, None, 0, :] + np.einsum(
+            "eab,qb->eqa", jac, TRIANGLE_QUAD_POINTS, optimize=True
+        )
+        return _read_only(pts[..., 0], pts[..., 1])
+
+
+def _read_only(*arrays):
+    """Cached per-mesh arrays are shared by every later load: lock them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def build_structured_mesh(n: int) -> Mesh:

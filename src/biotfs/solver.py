@@ -14,7 +14,7 @@ makes the optimal stabilization parameter computable a priori.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -99,10 +99,11 @@ class IterationTrace:
 
 
 def fixed_stress_step(
-    system: BiotSystem, u_prev: np.ndarray, p_prev: np.ndarray, L: float,
-    load_out: np.ndarray | None = None,
+    system: BiotSystem, f: np.ndarray, g: np.ndarray, u_prev: np.ndarray,
+    p_prev: np.ndarray, L: float, load_out: np.ndarray | None = None,
 ):
-    """One splitting iteration: stabilized flow update, then mechanics.
+    """One splitting iteration on the loads (f, g): stabilized flow update,
+    then mechanics.
 
     Expects u_prev to be consistent with p_prev (u_prev = inv(A)(f + B'
     p_prev)), which every previous step's output satisfies. Exactly one flow
@@ -113,21 +114,24 @@ def fixed_stress_step(
     scale = L + params.inv_m
     if scale <= 0.0:
         raise ValueError("L + inv_m must be positive for the flow update")
-    rhs = system.g - system.B @ u_prev
+    rhs = g - system.B @ u_prev
     if params.inv_m != 0.0:
         rhs = rhs - params.inv_m * (system.Mp @ p_prev)
     p_next = p_prev + system.m_solve(rhs) / scale
-    load = np.add(system.f, system.Bt @ p_next, out=load_out)
+    load = np.add(f, system.Bt @ p_next, out=load_out)
     return system.a_solve(load), p_next
 
 
 def fixed_stress_solve(
     system: BiotSystem,
+    f: np.ndarray,
+    g: np.ndarray,
     config: SolverConfig,
     u_init: np.ndarray | None = None,
     p_init: np.ndarray | None = None,
 ):
-    """Iterate the splitting scheme to the relative increment tolerance.
+    """Iterate the splitting scheme on the loads (f, g) to the relative
+    increment tolerance.
 
     Stops at the first iteration i with ||dp||_Mp <= eps_r ||p||_Mp and
     ||du||_A <= eps_r ||u||_A; the satisfying iteration is included in the
@@ -148,7 +152,7 @@ def fixed_stress_solve(
     load = np.empty(system.n_u)
     trace = IterationTrace()
     for i in range(1, config.max_iter + 1):
-        u_next, p_next = fixed_stress_step(system, u, p, config.L, load_out=load)
+        u_next, p_next = fixed_stress_step(system, f, g, u, p, config.L, load_out=load)
         dp = m_norm(system.Mp, p_next - p)
         du = m_norm(system.A, u_next - u, Mx=load - load_prev)
         pn = m_norm(system.Mp, p_next)
@@ -170,9 +174,9 @@ def fixed_stress_solve(
     return u, p, trace
 
 
-def schur_rhs(system: BiotSystem) -> np.ndarray:
+def schur_rhs(system: BiotSystem, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Schur right-hand side g_tilde = g - B inv(A) f."""
-    return system.g - system.B @ system.a_solve(system.f)
+    return g - system.B @ system.a_solve(f)
 
 
 def richardson_step(
@@ -181,7 +185,7 @@ def richardson_step(
     """Relaxed Richardson update on the pressure Schur complement.
 
     p_next = p_prev + omega * inv(Mp) (g_tilde - S p_prev), with S applied
-    matrix-free and g_tilde = schur_rhs(system) computed once by the caller.
+    matrix-free and g_tilde = schur_rhs(system, f, g) computed once by the caller.
     """
     if omega < 0.0:
         raise ValueError(f"omega must be nonnegative, got {omega}")
@@ -199,9 +203,9 @@ def dense_schur(system: BiotSystem) -> np.ndarray:
     return s
 
 
-def monolithic_solve(system: BiotSystem):
-    """Solve the coupled block system exactly via the pressure Schur
-    complement.
+def monolithic_solve(system: BiotSystem, f: np.ndarray, g: np.ndarray):
+    """Solve the coupled block system with loads (f, g) exactly via the
+    pressure Schur complement.
 
     Runs conjugate gradients on S p = g_tilde with S applied matrix-free and
     the pressure mass matrix Mp as the preconditioner; the pencil (S, Mp) is
@@ -214,13 +218,13 @@ def monolithic_solve(system: BiotSystem):
     s_op = spla.LinearOperator((n_p, n_p), matvec=lambda v: schur_apply(system, v),
                                dtype=float)
     m_op = spla.LinearOperator((n_p, n_p), matvec=system.m_solve, dtype=float)
-    p, info = spla.cg(s_op, schur_rhs(system), rtol=1e-13, atol=0.0,
+    p, info = spla.cg(s_op, schur_rhs(system, f, g), rtol=1e-13, atol=0.0,
                       maxiter=10 * n_p, M=m_op, callback=_require_finite)
     if info != 0:
         raise ConvergenceError(
             f"Schur CG stopped with info={info} before a 1e-13 relative residual"
         )
-    u = system.a_solve(system.f + system.Bt @ p)
+    u = system.a_solve(f + system.Bt @ p)
     return u, p
 
 
@@ -231,7 +235,7 @@ def _require_finite(p: np.ndarray) -> None:
         raise ConvergenceError("Schur CG produced a non-finite iterate")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransientProblem:
     """Assembled spatial problem plus its time-dependent sources."""
 
@@ -245,15 +249,17 @@ class TransientProblem:
 def build_problem(
     n: int, params: MaterialParams, sources: str | tuple | None = "manufactured"
 ) -> TransientProblem:
-    """Assemble the reduced system on an n x n mesh with optional sources.
+    """Assemble the reduced system on an n x n mesh with optional sources,
+    and factor it before anything else is allocated.
 
     `sources` is "manufactured" for the built-in parabolic profiles, None
     for a source-free problem, or an explicit (body_force, fluid_source)
     pair of callables taking (x, y, t).
     """
     mesh = build_structured_mesh(n)
+    mesh.geometry  # long-lived, so built before the assembly's temporaries
     dofs = build_taylor_hood_dofs(mesh)
-    system = build_system(mesh, dofs, params)
+    system = build_system(mesh, dofs, params).prepare()
     if sources == "manufactured":
         body, fluid = manufactured_sources()
     elif sources is None:
@@ -325,14 +331,14 @@ def time_march(
     first step starts from the homogeneous initial condition. The march
     stops at the first non-convergent step.
     """
-    base = problem.system.prepare()
-    u = np.zeros(base.n_u)
-    p = np.zeros(base.n_p)
+    system = problem.system
+    u = np.zeros(system.n_u)
+    p = np.zeros(system.n_p)
     counts, flags = [], []
     times = grid.times()
     for t in times:
         f, g = step_loads(problem, t, grid.tau, u, p)
-        u, p, trace = fixed_stress_solve(replace(base, f=f, g=g), config, u_init=u, p_init=p)
+        u, p, trace = fixed_stress_solve(system, f, g, config, u_init=u, p_init=p)
         counts.append(trace.iterations if trace.converged else config.max_iter)
         flags.append(trace.converged)
         if not trace.converged:

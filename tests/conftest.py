@@ -1,6 +1,6 @@
-import dataclasses
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,11 +16,11 @@ def params():
 
 
 def _loaded_problem(n, params, t=0.1, tau=0.1):
-    """Problem with first-step loads of the built-in sources applied."""
+    """A problem (mesh, dofs, system) with the first-step loads f, g of the
+    built-in sources."""
     prob = bf.build_problem(n, params, sources="manufactured")
     f, g = bf.step_loads(prob, t, tau, np.zeros(prob.system.n_u), np.zeros(prob.system.n_p))
-    prob.system = dataclasses.replace(prob.system, f=f, g=g).prepare()
-    return prob
+    return SimpleNamespace(mesh=prob.mesh, dofs=prob.dofs, system=prob.system, f=f, g=g)
 
 
 @pytest.fixture(scope="session")

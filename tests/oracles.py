@@ -121,7 +121,7 @@ def dense_blocks(system):
     )
 
 
-def dense_block_solve(system):
+def dense_block_solve(system, f, g):
     """Monolithic solve of the full 2x2 block system with dense numpy."""
     a, b, mp = dense_blocks(system)
     inv_m = system.params.inv_m
@@ -131,17 +131,17 @@ def dense_block_solve(system):
     block[:n_u, n_u:] = -b.T
     block[n_u:, :n_u] = b
     block[n_u:, n_u:] = inv_m * mp
-    rhs = np.concatenate([system.f, system.g])
+    rhs = np.concatenate([f, g])
     sol = np.linalg.solve(block, rhs)
     return sol[:n_u], sol[n_u:], block, rhs
 
 
-def dense_fixed_stress_step(system, u_prev, p_prev, L):
+def dense_fixed_stress_step(system, f, g, u_prev, p_prev, L):
     """Literal dense-algebra version of one splitting iteration."""
     a, b, mp = dense_blocks(system)
     inv_m = system.params.inv_m
-    rhs = system.g - b @ u_prev - inv_m * (mp @ p_prev)
+    rhs = g - b @ u_prev - inv_m * (mp @ p_prev)
     dp = np.linalg.solve((L + inv_m) * mp, rhs)
     p_next = p_prev + dp
-    u_next = np.linalg.solve(a, system.f + b.T @ p_next)
+    u_next = np.linalg.solve(a, f + b.T @ p_next)
     return u_next, p_next

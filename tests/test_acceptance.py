@@ -33,16 +33,16 @@ def cfg():
 
 
 def test_criterion_1_richardson_equivalence(problem8, params):
-    system = problem8.system
+    system, f, g = problem8.system, problem8.f, problem8.g
     L = params.alpha**2 / params.drained_bulk_modulus
     omega = 1.0 / (L + params.inv_m)
-    gt = bf.schur_rhs(system)
+    gt = bf.schur_rhs(system, f, g)
     p_fs = np.zeros(system.n_p)
-    u_fs = system.a_solve(system.f + system.B.T @ p_fs)
+    u_fs = system.a_solve(f + system.B.T @ p_fs)
     p_ri = p_fs.copy()
     worst = 0.0
     for _ in range(20):
-        u_fs, p_fs = bf.fixed_stress_step(system, u_fs, p_fs, L)
+        u_fs, p_fs = bf.fixed_stress_step(system, f, g, u_fs, p_fs, L)
         p_ri = bf.richardson_step(system, p_ri, omega, g_tilde=gt)
         worst = max(
             worst,
@@ -86,12 +86,12 @@ def test_criterion_2_eigenvalue_identifications(problem4, dense_eigen4, params):
 
 
 def test_criterion_3_contraction_bound(problem8, dense_eigen8, params):
-    system = problem8.system
+    system, f, g = problem8.system, problem8.f, problem8.g
     w, _ = dense_eigen8
     lam_min, lam_max = w[0], w[-1]
     est = bf.optimal_parameters(lam_max, lam_min, params)
-    _, p_star = bf.monolithic_solve(system)
-    gt = bf.schur_rhs(system)
+    _, p_star = bf.monolithic_solve(system, f, g)
+    gt = bf.schur_rhs(system, f, g)
     rng = np.random.default_rng(SEED)
     p_scale = bf.m_norm(system.Mp, p_star)
 
@@ -156,15 +156,15 @@ def test_criterion_4_sweep_optimality(cfg, params):
 
 
 def test_criterion_5_divergence_threshold(problem8, dense_eigen8, params):
-    system = problem8.system
+    system, f, g = problem8.system, problem8.f, problem8.g
     w, v = dense_eigen8
     k_star = params.alpha**2 / (w[-1] - params.inv_m)
     L_bad = 0.9 * params.alpha**2 / (2.0 * k_star)
     omega = 1.0 / (L_bad + params.inv_m)
     assert omega > 2.0 / w[-1]
 
-    _, p_star = bf.monolithic_solve(system)
-    gt = bf.schur_rhs(system)
+    _, p_star = bf.monolithic_solve(system, f, g)
+    gt = bf.schur_rhs(system, f, g)
     top = v[:, -1]
     p_it = p_star + top * (
         bf.m_norm(system.Mp, p_star) / bf.m_norm(system.Mp, top)

@@ -387,8 +387,8 @@ def test_manufactured_sources_profile():
 
 
 def test_cached_coupling_transpose_bitwise(problem16):
-    # B' is built once per B; its products equal those of B.T bit for bit,
-    # and a copy with a different B gets its own transpose.
+    # B' is built once per system; its products equal those of B.T bit for
+    # bit, and a copy with a different B gets its own transpose.
     system = problem16.system
     rng = np.random.default_rng(16)
     for _ in range(3):
@@ -403,8 +403,8 @@ def test_cached_coupling_transpose_bitwise(problem16):
 
 @pytest.mark.parametrize("block, solve", [("A", "a_solve"), ("Mp", "m_solve")])
 def test_copy_with_new_matrix_solves_with_its_own_factor(problem4, block, solve):
-    # A prepared system's factors are keyed on the matrix they come from: a
-    # copy with a different A (or Mp) must not solve with the old factor.
+    # A copy with a different A (or Mp) is a new system: it must not solve
+    # with the factor of the prepared original.
     system = problem4.system.prepare()
     scaled = dataclasses.replace(system, **{block: 2.0 * getattr(system, block)})
     b = np.random.default_rng(4).standard_normal(getattr(system, block).shape[0])
@@ -414,9 +414,10 @@ def test_copy_with_new_matrix_solves_with_its_own_factor(problem4, block, solve)
 
 
 def test_system_holds_only_what_the_solves_read():
-    # Ddiv, free_u and free_p are not part of the system; one cache field.
+    # The three operators of the pencil and the material; no loads, no
+    # Ddiv, no free-dof sets and no cache field.
     names = {f.name for f in dataclasses.fields(bf.BiotSystem)}
-    assert names == {"A", "B", "Mp", "f", "g", "params", "_derived"}
+    assert names == {"A", "B", "Mp", "params"}
 
 
 def test_reduced_divdiv_matches_full_operator():

@@ -445,11 +445,26 @@ def test_divdiv_assembled_only_where_read(tmp_path, monkeypatch, capsys, argv, e
 
 
 def test_sweep_copies_share_two_factors(monkeypatch):
-    # Every row of the sweep marches on copies of one prepared system; the
-    # copies change only the loads, so A and Mp are factored once each.
+    # Every row of the sweep marches on the one system that build_problem
+    # factored, with each step's loads passed as arguments, so A and Mp
+    # are factored once each.
     import biotfs.assembly
 
     calls = _count_calls(monkeypatch, biotfs.assembly, "factorize")
     report = sweep_report(bf.default_config(), mesh_ns=(4,))
     assert len(report.rows) == 31
     assert len(calls) == 2
+
+
+def test_dump_matrices_factors_nothing(tmp_path, monkeypatch, capsys):
+    # --dump-matrices writes the operators of build_system, which factors
+    # nothing; the report is stubbed so that only the dump runs.
+    import biotfs.assembly
+    import biotfs.cli
+
+    calls = _count_calls(monkeypatch, biotfs.assembly, "factorize")
+    monkeypatch.setattr(biotfs.cli, "estimate_report", lambda cfg, mesh_ns: {})
+    dump = tmp_path / "ops"
+    assert main(["estimate", "--mesh-n", "4", "--dump-matrices", str(dump)]) == 0
+    assert (dump / "n4" / "A.mtx").exists()
+    assert calls == []

@@ -1,0 +1,40 @@
+"""Smoke test of the benchmark's driver path; perfbench/ is only read.
+
+The benchmark runs `perfbench/child.py` in fresh processes: `setup` times
+`build_problem` plus `prepare()`, and `trace` wraps the public functions
+that `perfbench/tracing.py` names by module and attribute, then runs one
+CLI operation. A refactor that renames, drops or stops calling one of them
+fails here rather than in a benchmark run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _child(cwd, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_child_setup_and_traced_solve(tmp_path):
+    setup = _child(tmp_path, "setup", "4", str(tmp_path / "setup.json"))
+    assert setup.returncode == 0, setup.stderr
+    assert json.loads((tmp_path / "setup.json").read_text())["durations"]
+
+    traced = _child(tmp_path, "trace", str(tmp_path / "spans.json"), "--",
+                    "solve", "--mesh-n", "4", "--L", "8.5e-12",
+                    "--out", str(tmp_path / "solve.json"))
+    assert traced.returncode == 0, traced.stderr
+    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    names = [span[0] for span in spans]
+    assert names.count("linalg.factorize") == 2
+    notes = [span[4] for span in spans if span[0] == "solver.fixed_stress_solve"]
+    assert notes and all(note["iterations"] >= 1 for note in notes)

@@ -37,23 +37,23 @@ def test_time_grid_validation_and_step_count():
 
 def test_fixed_stress_step_zero_data_fixed_point(params):
     system = bf.build_problem(4, params, sources=None).system
-    u, p = bf.fixed_stress_step(
-        system, np.zeros(system.n_u), np.zeros(system.n_p), l_physical(params)
-    )
+    zu, zp = np.zeros(system.n_u), np.zeros(system.n_p)
+    u, p = bf.fixed_stress_step(system, zu, zp, zu, zp, l_physical(params))
     assert np.all(u == 0.0)
     assert np.all(p == 0.0)
 
 
 def test_fixed_stress_step_requires_positive_scale(params):
     system = bf.build_problem(4, params, sources=None).system
+    zu, zp = np.zeros(system.n_u), np.zeros(system.n_p)
     with pytest.raises(ValueError):
-        bf.fixed_stress_step(system, np.zeros(system.n_u), np.zeros(system.n_p), 0.0)
+        bf.fixed_stress_step(system, zu, zp, zu, zp, 0.0)
 
 
 def test_fixed_stress_step_at_exact_solution(problem8, params):
-    system = problem8.system
-    u_star, p_star = bf.monolithic_solve(system)
-    u1, p1 = bf.fixed_stress_step(system, u_star, p_star, l_physical(params))
+    system, f, g = problem8.system, problem8.f, problem8.g
+    u_star, p_star = bf.monolithic_solve(system, f, g)
+    u1, p1 = bf.fixed_stress_step(system, f, g, u_star, p_star, l_physical(params))
     p_scale = bf.m_norm(system.Mp, p_star)
     u_scale = bf.m_norm(system.A, u_star)
     assert bf.m_norm(system.Mp, p1 - p_star) <= 1e-9 * p_scale
@@ -61,14 +61,14 @@ def test_fixed_stress_step_at_exact_solution(problem8, params):
 
 
 def test_fixed_stress_step_vs_dense_oracle(problem8, params):
-    system = problem8.system
+    system, f = problem8.system, problem8.f
     rng = np.random.default_rng(21)
-    sys_rand = dataclasses.replace(system, g=rng.standard_normal(system.n_p))
+    g = rng.standard_normal(system.n_p)
     L = l_physical(params)
     p_prev = rng.standard_normal(system.n_p)
-    u_prev = sys_rand.a_solve(sys_rand.f + sys_rand.B.T @ p_prev)
-    u1, p1 = bf.fixed_stress_step(sys_rand, u_prev, p_prev, L)
-    u1_o, p1_o = dense_fixed_stress_step(sys_rand, u_prev, p_prev, L)
+    u_prev = system.a_solve(f + system.B.T @ p_prev)
+    u1, p1 = bf.fixed_stress_step(system, f, g, u_prev, p_prev, L)
+    u1_o, p1_o = dense_fixed_stress_step(system, f, g, u_prev, p_prev, L)
     assert np.abs(p1 - p1_o).max() <= 1e-10 * np.abs(p1_o).max()
     assert np.abs(u1 - u1_o).max() <= 1e-10 * np.abs(u1_o).max()
 
@@ -76,27 +76,27 @@ def test_fixed_stress_step_vs_dense_oracle(problem8, params):
 def test_fixed_stress_solve_zero_data_one_iteration(params):
     system = bf.build_problem(4, params, sources=None).system
     cfg = bf.SolverConfig(L=l_physical(params))
-    u, p, trace = bf.fixed_stress_solve(system, cfg)
+    u, p, trace = bf.fixed_stress_solve(system, np.zeros(system.n_u), np.zeros(system.n_p), cfg)
     assert trace.converged
     assert trace.iterations == 1
     assert np.all(u == 0.0) and np.all(p == 0.0)
 
 
 def test_fixed_stress_solve_warm_start_count_is_one(problem8, params):
-    system = problem8.system
-    u_star, p_star = bf.monolithic_solve(system)
+    system, f, g = problem8.system, problem8.f, problem8.g
+    u_star, p_star = bf.monolithic_solve(system, f, g)
     cfg = bf.SolverConfig(L=l_physical(params))
-    _, _, trace = bf.fixed_stress_solve(system, cfg, u_init=u_star, p_init=p_star)
+    _, _, trace = bf.fixed_stress_solve(system, f, g, cfg, u_init=u_star, p_init=p_star)
     assert trace.converged
     assert trace.iterations == 1
 
 
 def test_fixed_stress_solve_matches_monolithic(problem8, params):
-    system = problem8.system
+    system, f, g = problem8.system, problem8.f, problem8.g
     cfg = bf.SolverConfig(L=l_physical(params), eps_r=1e-6)
-    u, p, trace = bf.fixed_stress_solve(system, cfg)
+    u, p, trace = bf.fixed_stress_solve(system, f, g, cfg)
     assert trace.converged
-    u_star, p_star = bf.monolithic_solve(system)
+    u_star, p_star = bf.monolithic_solve(system, f, g)
     p_err = bf.m_norm(system.Mp, p - p_star) / bf.m_norm(system.Mp, p_star)
     u_err = bf.m_norm(system.A, u - u_star) / bf.m_norm(system.A, u_star)
     assert p_err <= 10 * cfg.eps_r
@@ -106,15 +106,15 @@ def test_fixed_stress_solve_matches_monolithic(problem8, params):
 def test_fixed_stress_solve_diverges_below_threshold(problem8, dense_eigen8, params):
     # Stabilizations below half the optimal band make the relaxation
     # overshoot (omega > 2/lambda_max) and the iteration grow.
-    system = problem8.system
+    system, f, g = problem8.system, problem8.f, problem8.g
     w, v = dense_eigen8
     k_star = params.alpha**2 / (w[-1] - params.inv_m)
     L_bad = 0.9 * params.alpha**2 / (2.0 * k_star)
-    _, p_star = bf.monolithic_solve(system)
+    _, p_star = bf.monolithic_solve(system, f, g)
     p0 = p_star + v[:, -1] * bf.m_norm(system.Mp, p_star) / bf.m_norm(system.Mp, v[:, -1])
-    u0 = system.a_solve(system.f + system.B.T @ p0)
+    u0 = system.a_solve(f + system.B.T @ p0)
     cfg = bf.SolverConfig(L=L_bad, max_iter=30)
-    _, _, trace = bf.fixed_stress_solve(system, cfg, u_init=u0, p_init=p0)
+    _, _, trace = bf.fixed_stress_solve(system, f, g, cfg, u_init=u0, p_init=p0)
     assert not trace.converged
     assert trace.iterations == 30
     dp = [rec[0] for rec in trace.increment_norms]
@@ -134,17 +134,15 @@ class CountingMatrix(sp.csr_matrix):
 
 
 def _two_step_states(params):
-    """A prepared n=8 system with first-step loads, and the same system
-    with the second step's loads plus the first step's state."""
+    """An n=8 system, its first-step loads, the second step's loads and
+    the first step's state."""
     prob = bf.build_problem(8, params, sources="manufactured")
-    base = prob.system.prepare()
+    system = prob.system
     cfg = bf.SolverConfig(L=l_physical(params))
-    f, g = bf.step_loads(prob, 0.1, 0.1, np.zeros(base.n_u), np.zeros(base.n_p))
-    first = dataclasses.replace(base, f=f, g=g)
-    u1, p1, _ = bf.fixed_stress_solve(first, cfg)
-    f, g = bf.step_loads(prob, 0.2, 0.1, u1, p1)
-    second = dataclasses.replace(base, f=f, g=g)
-    return cfg, first, second, (u1, p1)
+    first = bf.step_loads(prob, 0.1, 0.1, np.zeros(system.n_u), np.zeros(system.n_p))
+    u1, p1, _ = bf.fixed_stress_solve(system, *first, cfg)
+    second = bf.step_loads(prob, 0.2, 0.1, u1, p1)
+    return cfg, system, first, second, (u1, p1)
 
 
 @pytest.mark.parametrize("inv_m", [0.0, 1e-11])
@@ -153,17 +151,18 @@ def test_free_energy_norms_match_explicit_products(params, inv_m, start):
     # The A-norms come from the elastic loads, not from products with A;
     # on every iteration they must match m_norm(A, .). The increment norm
     # is a difference of nearly equal loads, hence its looser bound.
-    cfg, first, second, (u1, p1) = _two_step_states(dataclasses.replace(params, inv_m=inv_m))
+    cfg, system, first, second, (u1, p1) = _two_step_states(
+        dataclasses.replace(params, inv_m=inv_m))
     if start == "cold":
-        system, u, p, kwargs = first, np.zeros(first.n_u), np.zeros(first.n_p), {}
+        loads, u, p, kwargs = first, np.zeros(system.n_u), np.zeros(system.n_p), {}
     else:
-        system, u, p, kwargs = second, u1, p1, {"u_init": u1, "p_init": p1}
-    _, _, trace = bf.fixed_stress_solve(system, cfg, **kwargs)
+        loads, u, p, kwargs = second, u1, p1, {"u_init": u1, "p_init": p1}
+    _, _, trace = bf.fixed_stress_solve(system, *loads, cfg, **kwargs)
     assert trace.converged and trace.iterations > 3
     # The solve takes exactly these steps from the same start, so the
     # rebuilt iterates are bitwise its own.
     for (_, du), (_, un) in zip(trace.increment_norms, trace.solution_norms):
-        u_next, p = bf.fixed_stress_step(system, u, p, cfg.L)
+        u_next, p = bf.fixed_stress_step(system, *loads, u, p, cfg.L)
         un_ref = bf.m_norm(system.A, u_next)
         du_ref = bf.m_norm(system.A, u_next - u)
         assert abs(un - un_ref) <= 1e-12 * un_ref
@@ -174,20 +173,21 @@ def test_free_energy_norms_match_explicit_products(params, inv_m, start):
 def test_fixed_stress_solve_products_with_a(params):
     # A warm start costs one product with A (the load of u_init); a cold
     # start costs none, and the iterations cost none either.
-    cfg, first, second, (u1, p1) = _two_step_states(params)
-    for system, kwargs, expected in ((first, {}, 0), (second, {"u_init": u1, "p_init": p1}, 1)):
-        counted = dataclasses.replace(system, A=CountingMatrix(system.A))
-        u, p, trace = bf.fixed_stress_solve(counted, cfg, **kwargs)
+    cfg, system, first, second, (u1, p1) = _two_step_states(params)
+    counted = dataclasses.replace(system, A=CountingMatrix(system.A))
+    for loads, kwargs, expected in ((first, {}, 0), (second, {"u_init": u1, "p_init": p1}, 1)):
+        counted.A.products = 0
+        u, p, trace = bf.fixed_stress_solve(counted, *loads, cfg, **kwargs)
         assert counted.A.products == expected
-        u_ref, p_ref, trace_ref = bf.fixed_stress_solve(system, cfg, **kwargs)
+        u_ref, p_ref, trace_ref = bf.fixed_stress_solve(system, *loads, cfg, **kwargs)
         assert trace.iterations == trace_ref.iterations > 1
         assert np.array_equal(u, u_ref) and np.array_equal(p, p_ref)
 
 
 def test_richardson_fixed_point_and_zero_relaxation(problem8):
-    system = problem8.system
-    _, p_star = bf.monolithic_solve(system)
-    gt = bf.schur_rhs(system)
+    system, f, g = problem8.system, problem8.f, problem8.g
+    _, p_star = bf.monolithic_solve(system, f, g)
+    gt = bf.schur_rhs(system, f, g)
     p1 = bf.richardson_step(system, p_star, omega=5e10, g_tilde=gt)
     assert bf.m_norm(system.Mp, p1 - p_star) <= 1e-9 * bf.m_norm(system.Mp, p_star)
     p_same = bf.richardson_step(system, p_star, omega=0.0, g_tilde=gt)
@@ -198,15 +198,15 @@ def test_richardson_fixed_point_and_zero_relaxation(problem8):
 def test_richardson_equals_fixed_stress_pressure_path(problem8, params, l_factor):
     # The splitting scheme's pressure iterates are exactly a relaxed
     # Richardson sequence with omega = 1/(L + inv_m), whatever L is.
-    system = problem8.system
+    system, f, g = problem8.system, problem8.f, problem8.g
     L = l_factor * l_physical(params)
     omega = 1.0 / (L + params.inv_m)
-    gt = bf.schur_rhs(system)
+    gt = bf.schur_rhs(system, f, g)
     p_fs = np.zeros(system.n_p)
-    u_fs = system.a_solve(system.f + system.B.T @ p_fs)
+    u_fs = system.a_solve(f + system.B.T @ p_fs)
     p_ri = p_fs.copy()
     for _ in range(20):
-        u_fs, p_fs = bf.fixed_stress_step(system, u_fs, p_fs, L)
+        u_fs, p_fs = bf.fixed_stress_step(system, f, g, u_fs, p_fs, L)
         p_ri = bf.richardson_step(system, p_ri, omega, g_tilde=gt)
         rel = np.linalg.norm(p_fs - p_ri) / max(np.linalg.norm(p_ri), 1e-300)
         assert rel <= 1e-8
@@ -214,15 +214,15 @@ def test_richardson_equals_fixed_stress_pressure_path(problem8, params, l_factor
 
 def test_monolithic_zero_data(params):
     system = bf.build_problem(4, params, sources=None).system
-    u, p = bf.monolithic_solve(system)
+    u, p = bf.monolithic_solve(system, np.zeros(system.n_u), np.zeros(system.n_p))
     assert np.abs(u).max() == 0.0
     assert np.abs(p).max() == 0.0
 
 
 def test_monolithic_block_residual(problem8):
-    system = problem8.system
-    u, p = bf.monolithic_solve(system)
-    _, _, block, rhs = dense_block_solve(system)
+    system, f, g = problem8.system, problem8.f, problem8.g
+    u, p = bf.monolithic_solve(system, f, g)
+    _, _, block, rhs = dense_block_solve(system, f, g)
     sol = np.concatenate([u, p])
     resid = np.linalg.norm(block @ sol - rhs) / np.linalg.norm(rhs)
     assert resid <= 1e-10
@@ -230,9 +230,9 @@ def test_monolithic_block_residual(problem8):
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_monolithic_matches_dense_block_oracle(request, n):
-    system = request.getfixturevalue(f"problem{n}").system
-    u, p = bf.monolithic_solve(system)
-    u_o, p_o, _, _ = dense_block_solve(system)
+    prob = request.getfixturevalue(f"problem{n}")
+    u, p = bf.monolithic_solve(prob.system, prob.f, prob.g)
+    u_o, p_o, _, _ = dense_block_solve(prob.system, prob.f, prob.g)
     assert np.abs(p - p_o).max() <= 1e-9 * np.abs(p_o).max()
     assert np.abs(u - u_o).max() <= 1e-9 * np.abs(u_o).max()
 
@@ -244,9 +244,9 @@ def test_monolithic_singular_schur_raises(problem4, params):
     system = dataclasses.replace(
         problem4.system, B=sp.csr_matrix(problem4.system.B.shape)
     )
-    assert np.linalg.norm(system.g) > 0.0
+    assert np.linalg.norm(problem4.g) > 0.0
     with np.errstate(all="ignore"), pytest.raises(bf.ConvergenceError):
-        bf.monolithic_solve(system)
+        bf.monolithic_solve(system, problem4.f, problem4.g)
 
 
 def test_monolithic_singular_schur_stops_at_first_nonfinite_iterate(problem8, monkeypatch):
@@ -261,14 +261,14 @@ def test_monolithic_singular_schur_stops_at_first_nonfinite_iterate(problem8, mo
 
     monkeypatch.setattr("biotfs.solver.schur_apply", counting_apply)
     with np.errstate(all="ignore"), pytest.raises(bf.ConvergenceError):
-        bf.monolithic_solve(system)
+        bf.monolithic_solve(system, problem8.f, problem8.g)
     assert 1 <= len(applies) <= 3
 
 
 def test_monolithic_pressure_solves_schur_system(problem8):
-    system = problem8.system
-    _, p = bf.monolithic_solve(system)
-    gt = bf.schur_rhs(system)
+    system, f, g = problem8.system, problem8.f, problem8.g
+    _, p = bf.monolithic_solve(system, f, g)
+    gt = bf.schur_rhs(system, f, g)
     resid = bf.schur_apply(system, p) - gt
     assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(gt)
 
@@ -276,12 +276,12 @@ def test_monolithic_pressure_solves_schur_system(problem8):
 def test_contraction_bound_with_dense_rates(problem8, dense_eigen8, params):
     # Error ratios in the pressure mass norm never exceed the Richardson
     # contraction factor (small allowance for the inner solves).
-    system = problem8.system
+    system, f, g = problem8.system, problem8.f, problem8.g
     w, _ = dense_eigen8
     lam_min, lam_max = w[0], w[-1]
     est = bf.optimal_parameters(lam_max, lam_min, params)
-    _, p_star = bf.monolithic_solve(system)
-    gt = bf.schur_rhs(system)
+    _, p_star = bf.monolithic_solve(system, f, g)
+    gt = bf.schur_rhs(system, f, g)
     rng = np.random.default_rng(31)
     for omega in (0.5 * est.omega_opt, est.omega_opt):
         rho = est.rho(omega)
@@ -329,9 +329,9 @@ def test_time_march_divergent_cap_and_flag(params):
 
 
 def test_fixed_stress_solve_records_iterates(problem8, params):
-    system = problem8.system
+    system, f, g = problem8.system, problem8.f, problem8.g
     cfg = bf.SolverConfig(L=l_physical(params), max_iter=5, eps_r=1e-14)
-    _, _, trace = bf.fixed_stress_solve(system, cfg)
+    _, _, trace = bf.fixed_stress_solve(system, f, g, cfg)
     assert len(trace.increment_norms) == trace.iterations
     assert all(np.isfinite(dp) and dp >= 0.0 for dp, _ in trace.increment_norms)
 
@@ -340,7 +340,6 @@ def test_iteration_counts_minimal_at_optimal(problem8, params):
     # Average counts on a small stabilization grid are never below the
     # count at the estimated optimum (ties allowed).
     prob = bf.build_problem(8, params, sources="manufactured")
-    prob.system.prepare()
     est = bf.estimate_spectrum(prob.system, tol=1e-10, maxit=100000, seed=1)
     grid = bf.TimeGrid(t0=0.0, tau=0.1, t_end=1.0)
     opt = bf.time_march(prob, bf.SolverConfig(L=est.l_opt), grid).average
@@ -352,13 +351,38 @@ def test_iteration_counts_minimal_at_optimal(problem8, params):
         assert opt <= avg + 1e-12
 
 
+def test_built_system_and_problem_are_frozen(params):
+    # Operators and factors are fixed at build time: a new matrix means a
+    # new system, never an edit of a built one.
+    prob = bf.build_problem(2, params, sources=None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.system.A = 2.0 * prob.system.A
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.system = prob.system
+
+
+def test_built_problem_factors_nothing_after_build(params, monkeypatch):
+    # build_problem factors A and Mp; the march and the estimator read
+    # those factors and call factorize zero times.
+    import biotfs.assembly
+
+    calls = []
+    original = biotfs.assembly.factorize
+    monkeypatch.setattr(biotfs.assembly, "factorize", lambda M: calls.append(M) or original(M))
+    prob = bf.build_problem(4, params, sources="manufactured")
+    assert len(calls) == 2
+    grid = bf.TimeGrid(t0=0.0, tau=0.1, t_end=0.3)
+    bf.time_march(prob, bf.SolverConfig(L=l_physical(params)), grid)
+    bf.estimate_spectrum(prob.system, tol=1e-8, seed=1)
+    assert len(calls) == 2
+
+
 def test_time_march_concurrent_l_values_match_serial(params):
     # The README claims distinct stabilization values can be solved
     # concurrently against one assembled system. Four workers and a short
     # switch interval interleave the shared factor solves as much as the
     # interpreter allows.
     prob = bf.build_problem(8, params, sources="manufactured")
-    prob.system.prepare()
     est = bf.estimate_spectrum(prob.system, tol=1e-8, seed=1)
     grid = bf.TimeGrid(t0=0.0, tau=0.1, t_end=1.0)
     configs = [bf.SolverConfig(L=f * est.l_opt) for f in (0.8, 1.0, 1.3, 2.0)]
