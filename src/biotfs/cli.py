@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, default_config, load_config, override
@@ -95,10 +96,8 @@ def _dump(cfg, ns, directory: Path) -> None:
 
 
 def _mesh_selection(cfg, args):
-    if args.mesh_n is not None:
-        if args.mesh_n < 1:
-            raise ConfigError(f"--mesh-n must be positive, got {args.mesh_n}")
-        return (args.mesh_n,)
+    if args.mesh_n is not None:  # checked like [mesh] n, but not hashed
+        return replace(cfg, mesh_ns=(args.mesh_n,)).mesh_ns
     return cfg.mesh_ns
 
 

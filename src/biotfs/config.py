@@ -91,8 +91,8 @@ class ExperimentConfig:
     spectral: SpectralConfig = SpectralConfig()
 
     def __post_init__(self):
-        if not self.mesh_ns or min(self.mesh_ns) < 1:
-            raise ConfigError(f"mesh sizes must be positive integers, got {self.mesh_ns}")
+        if not self.mesh_ns or min(self.mesh_ns) < 2:
+            raise ConfigError(f"mesh sizes must be integers of at least 2, got {self.mesh_ns}")
         if self.sources not in ("manufactured", "zero"):
             raise ConfigError(f"sources must be manufactured or zero, got {self.sources!r}")
         # SolverConfig checks eps_r, max_iter and a numeric L.
@@ -157,7 +157,9 @@ def override(cfg: ExperimentConfig, raw) -> ExperimentConfig:
 
     Each section is rebuilt once with dataclasses.replace on its own
     dataclass, which validates it. A mode set without a tol drops any
-    explicit tol, so the tolerance is the new mode's default.
+    explicit tol, so the tolerance is the new mode's default. A fixed L is
+    checked against inv_m only once every section is applied, since the
+    splitting needs L + inv_m > 0.
     """
     for section, values in raw.items():
         fields = {key: (field, parse) for sec, key, field, parse in _FIELDS if sec == section}
@@ -181,6 +183,8 @@ def override(cfg: ExperimentConfig, raw) -> ExperimentConfig:
             cfg = rebuilt if owner is cfg else replace(cfg, **{section: rebuilt})
         except ValueError as exc:
             raise ConfigError(f"[{section}] {', '.join(values)}: {exc}") from exc
+    if cfg.L != "optimal" and cfg.L + cfg.material.inv_m <= 0.0:
+        raise ConfigError(f"[solver] L = {cfg.L} needs [material] inv_m > 0")
     return cfg
 
 

@@ -63,7 +63,7 @@ def _estimates(cfg: ExperimentConfig, problem: TransientProblem) -> SpectralEsti
     )
 
 
-def estimates_to_dict(n: int, est: SpectralEstimates, alpha: float) -> dict:
+def estimates_to_dict(n: int, est: SpectralEstimates) -> dict:
     return {
         "n": n,
         "h": 1.0 / n,
@@ -74,7 +74,7 @@ def estimates_to_dict(n: int, est: SpectralEstimates, alpha: float) -> dict:
         "omega_opt": est.omega_opt,
         "l_opt": est.l_opt,
         "rho_opt": est.rho_opt,
-        "d_opt": alpha**2 / est.l_opt,
+        "d_opt": est.d_opt,
         "iterations_used": list(est.iterations_used) if est.iterations_used else None,
         "converged": est.converged,
         "residuals": list(est.residuals) if est.residuals else None,
@@ -88,7 +88,7 @@ def estimate_report(cfg: ExperimentConfig, mesh_ns=None) -> dict:
     for n in ns:
         problem = _problem(cfg, n)
         est = _estimates(cfg, problem)
-        meshes.append(estimates_to_dict(n, est, cfg.material.alpha))
+        meshes.append(estimates_to_dict(n, est))
     return {
         "schema": "biotfs.estimate/1",
         "version": __version__,
@@ -147,9 +147,12 @@ class SweepReport:
 
     rows: list
     estimates: dict  # n -> SpectralEstimates
-    predicted_d_opt: dict  # n -> float
     config_hash: str
-    alpha: float
+
+    @property
+    def predicted_d_opt(self) -> dict:
+        """n -> the optimal D of that mesh's estimates."""
+        return {n: est.d_opt for n, est in self.estimates.items()}
 
     def to_csv_text(self) -> str:
         lines = ["n,h,D,L,avg_iterations,diverged"]
@@ -166,10 +169,7 @@ class SweepReport:
             "version": __version__,
             "config_hash": self.config_hash,
             "rows": [dataclasses.asdict(r) for r in self.rows],
-            "estimates": {
-                str(n): estimates_to_dict(n, est, self.alpha)
-                for n, est in self.estimates.items()
-            },
+            "estimates": {str(n): estimates_to_dict(n, est) for n, est in self.estimates.items()},
             "predicted_d_opt": {str(n): d for n, d in self.predicted_d_opt.items()},
         }
 
@@ -184,12 +184,9 @@ def sweep_report(cfg: ExperimentConfig, mesh_ns=None) -> SweepReport:
     alpha = cfg.material.alpha
     rows = []
     estimates = {}
-    d_opts = {}
     for n in sorted(ns):
         problem = _problem(cfg, n)
-        est = _estimates(cfg, problem)
-        estimates[n] = est
-        d_opts[n] = alpha**2 / est.l_opt
+        estimates[n] = _estimates(cfg, problem)
         for d_value in cfg.sweep.values():
             L = float(alpha**2 / d_value)
             solver = SolverConfig(L=L, eps_r=cfg.eps_r, max_iter=cfg.max_iter)
@@ -204,13 +201,7 @@ def sweep_report(cfg: ExperimentConfig, mesh_ns=None) -> SweepReport:
                     diverged=result.diverged,
                 )
             )
-    return SweepReport(
-        rows=rows,
-        estimates=estimates,
-        predicted_d_opt=d_opts,
-        config_hash=config_hash(cfg),
-        alpha=alpha,
-    )
+    return SweepReport(rows=rows, estimates=estimates, config_hash=config_hash(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,30 @@
 """Spectral estimation for the pressure Schur complement pencil.
 
 The splitting solver's pressure update is a relaxed Richardson iteration on
-S = inv_m * Mp + B inv(A) B', measured against the pressure mass matrix Mp.
-Its contraction factor for relaxation omega is
+S = inv_m * Mp + S0, S0 = B inv(A) B', measured against the pressure mass
+matrix Mp. Its contraction factor for relaxation omega is
 
     rho(omega) = max(|1 - omega*lambda_min|, |1 - omega*lambda_max|),
 
-with the extreme eigenvalues of the pencil (S, Mp). The optimal relaxation is
-omega = 2 / (lambda_max + lambda_min), which translates into the optimal
-stabilization parameter l_opt = 1/omega - inv_m of the splitting scheme. The
-same eigenvalues identify two bulk-type moduli: k_star = alpha^2 /
-(lambda_max - inv_m), which also solves an independent div-div/elasticity
-eigenvalue problem, and beta = alpha^2 / (lambda_min - inv_m), which exists
-for inf-sup stable discretizations.
+with the extreme eigenvalues lambda = mu + inv_m of the pencil (S, Mp),
+where mu are those of the unshifted pencil (S0, Mp). Only mu_max and mu_min
+are estimated, so inv_m enters once and exactly. The optimal relaxation
+omega = 2 / (lambda_max + lambda_min) gives the optimal stabilization
+l_opt = 1/omega - inv_m = (mu_max + mu_min)/2 of the splitting scheme. The
+same eigenvalues identify two bulk-type moduli: k_star = alpha^2 / mu_max,
+which also solves an independent div-div/elasticity eigenvalue problem,
+and beta = alpha^2 / mu_min, which exists for inf-sup stable
+discretizations. None of l_opt, k_star and beta depends on inv_m.
 
 Both extreme eigenvalues come from one unrestarted Lanczos run with full
 reorthogonalization (Parlett, The Symmetric Eigenvalue Problem, 1998) on
-the matrix-free pencil: S is only ever applied through the cached
+the matrix-free pencil (S0, Mp): S0 is only ever applied through the cached
 factorization of A, never formed, and each step costs one such apply. The
 run checks the Ritz residual estimates of both ends after every step, so it
 stops at the first step that meets the tolerance instead of at the end of a
 restart cycle. Every returned eigenpair carries a certificate, its relative
-eigen-residual ||S v - lambda Mp v||_{inv(Mp)} / (|lambda| ||v||_{Mp}),
-computed explicitly; by the Krylov-Weinstein bound lambda then lies within
+eigen-residual ||S0 v - mu Mp v||_{inv(Mp)} / (|mu| ||v||_{Mp}),
+computed explicitly; by the Krylov-Weinstein bound mu then lies within
 that relative distance of an eigenvalue of the pencil. The run stops on
 the certificate, never on the estimate alone, and an estimate counts as
 converged only when every residual is within the requested tolerance.
@@ -47,29 +49,66 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralEstimates:
-    """Extreme pencil eigenvalues and every quantity derived from them.
+    """The extreme eigenvalues mu_max >= mu_min > 0 of the unshifted pencil
+    (S0, Mp), and every quantity derived from them as a property.
 
-    Invariants: 0 < lambda_min <= lambda_max, beta >= k_star,
-    omega_opt = 2/(lambda_max + lambda_min), l_opt = 1/omega_opt - inv_m
-    = (alpha^2/2)(1/k_star + 1/beta), rho_opt in [0, 1).
+    Construction checks 0 < mu_min <= mu_max to a relative 1e-12 and clamps
+    mu_min, so beta >= k_star and rho_opt in [0, 1) hold by construction.
 
     iterations_used is (Lanczos steps, 0): one run serves both ends, and
     each step is one Schur apply; the count leaves out the two products of
     each certificate. residuals are the relative inv(Mp)-norm
-    eigen-residuals of (lambda_max, lambda_min); converged is False when
-    the step cap or the rounding floor was reached first.
+    eigen-residuals of (lambda_max, lambda_min) on (S, Mp); converged is
+    False when the step cap or the rounding floor was reached first.
     """
 
-    lambda_max: float
-    lambda_min: float
-    k_star: float
-    beta: float
-    omega_opt: float
-    l_opt: float
-    rho_opt: float
+    mu_max: float
+    mu_min: float
+    params: MaterialParams
     iterations_used: tuple[int, int] | None = None
     converged: bool = True
     residuals: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.mu_min <= self.mu_max * (1.0 + 1e-12):
+            raise ValueError(
+                f"pencil eigenvalues violate 0 < mu_min <= mu_max: "
+                f"mu_min={self.mu_min}, mu_max={self.mu_max}"
+            )
+        object.__setattr__(self, "mu_min", min(self.mu_min, self.mu_max))
+
+    @property
+    def lambda_max(self) -> float:
+        return self.mu_max + self.params.inv_m
+
+    @property
+    def lambda_min(self) -> float:
+        return self.mu_min + self.params.inv_m
+
+    @property
+    def k_star(self) -> float:
+        return self.params.alpha**2 / self.mu_max
+
+    @property
+    def beta(self) -> float:
+        return self.params.alpha**2 / self.mu_min
+
+    @property
+    def omega_opt(self) -> float:
+        return 2.0 / (self.lambda_max + self.lambda_min)
+
+    @property
+    def l_opt(self) -> float:
+        return 1.0 / self.omega_opt - self.params.inv_m
+
+    @property
+    def d_opt(self) -> float:
+        """The optimal stabilization in the sweep's variable D = alpha^2 / L."""
+        return self.params.alpha**2 / self.l_opt
+
+    @property
+    def rho_opt(self) -> float:
+        return (self.lambda_max - self.lambda_min) / (self.lambda_max + self.lambda_min)
 
     def rho(self, omega: float) -> float:
         """Richardson contraction factor for an arbitrary relaxation."""
@@ -96,15 +135,16 @@ def pencil(apply_k, apply_m, solve_m, size: int) -> Pencil:
     return Pencil(op(apply_k), op(apply_m), op(solve_m))
 
 
-def schur_apply(system: BiotSystem, p: np.ndarray) -> np.ndarray:
-    """Apply S = inv_m*Mp + B inv(A) B' without forming it.
+def schur_apply(system: BiotSystem, p: np.ndarray, *, shift: bool = True) -> np.ndarray:
+    """Apply S = inv_m*Mp + S0, S0 = B inv(A) B', without forming it;
+    shift=False leaves out the inv_m*Mp term and applies S0.
 
     The inner elastic solve uses the cached direct factorization.
     """
     if p.shape[0] != system.n_p:
         raise ValueError(f"pressure vector has length {p.shape[0]}, expected {system.n_p}")
     out = system.B @ system.a_solve(system.Bt @ p)
-    if system.params.inv_m != 0.0:
+    if shift and system.params.inv_m != 0.0:
         out = out + system.params.inv_m * (system.Mp @ p)
     return out
 
@@ -188,64 +228,29 @@ def estimate_k_star(problem, tol: float = 1e-8, maxit: int = 50000,
     return 1.0 / value
 
 
-def optimal_parameters(
-    lambda_max: float,
-    lambda_min: float,
-    params: MaterialParams,
-    iterations_used: tuple[int, int] | None = None,
-    converged: bool = True,
-    residuals: tuple[float, float] | None = None,
-) -> SpectralEstimates:
-    """Derive every tuning quantity from the extreme pencil eigenvalues."""
-    if not 0.0 < lambda_min <= lambda_max * (1.0 + 1e-12):
-        raise ValueError(
-            f"eigenvalue ordering violated: lambda_min={lambda_min}, "
-            f"lambda_max={lambda_max}"
-        )
-    lambda_min = min(lambda_min, lambda_max)
-    alpha2 = params.alpha**2
-    gap_max = lambda_max - params.inv_m
-    gap_min = lambda_min - params.inv_m
-    if gap_max <= 0.0 or gap_min <= 0.0:
-        raise EstimationError(
-            "pencil eigenvalues do not exceed the compressibility term"
-        )
-    omega_opt = 2.0 / (lambda_max + lambda_min)
-    return SpectralEstimates(
-        lambda_max=lambda_max,
-        lambda_min=lambda_min,
-        k_star=alpha2 / gap_max,
-        beta=alpha2 / gap_min,
-        omega_opt=omega_opt,
-        l_opt=1.0 / omega_opt - params.inv_m,
-        rho_opt=(lambda_max - lambda_min) / (lambda_max + lambda_min),
-        iterations_used=iterations_used,
-        converged=converged,
-        residuals=residuals,
-    )
+def optimal_parameters(lambda_max: float, lambda_min: float,
+                       params: MaterialParams) -> SpectralEstimates:
+    """The estimates from the extreme eigenvalues of (S, Mp)."""
+    return SpectralEstimates(lambda_max - params.inv_m, lambda_min - params.inv_m, params)
 
 
 def estimate_spectrum(system: BiotSystem, tol: float = 1e-8,
                       maxit: int = 50000, seed: int = 1) -> SpectralEstimates:
-    """Estimate both extreme eigenvalues of (S, Mp) in one Lanczos run and
-    derive the optimal parameters.
+    """Estimate both extreme eigenvalues of (S0, Mp) in one Lanczos run.
 
-    tol is the relative eigen-residual every returned pair must meet for
-    the estimate to count as converged, maxit the cap on Lanczos steps
-    (Schur applies) and seed fixes the start vector. At the cap, or when
-    the residuals stall above tol at the rounding floor, the Ritz values of
-    the last step are returned with converged=False.
+    tol is the relative eigen-residual every returned pair must meet on
+    (S0, Mp) for the estimate to count as converged, maxit the cap on
+    Lanczos steps (Schur applies) and seed fixes the start vector. At the
+    cap, or when the residuals stall above tol at the rounding floor, the
+    Ritz values of the last step are returned with converged=False. The
+    reported residuals are those on (S, Mp): the same residual vector,
+    relative to |mu + inv_m| instead of |mu|.
     """
-    pen = pencil(lambda p: schur_apply(system, p), system.Mp.__matmul__,
+    pen = pencil(lambda p: schur_apply(system, p, shift=False), system.Mp.__matmul__,
                  system.m_solve, system.n_p)
-    (lam_min, lam_max), (res_min, res_max), applies, converged = _extreme_eigs(
-        pen, "BE", tol, maxit, seed
-    )
-    return optimal_parameters(
-        lam_max,
-        lam_min,
-        system.params,
-        iterations_used=(applies, 0),
-        converged=converged,
-        residuals=(res_max, res_min),
-    )
+    (mu_min, mu_max), residuals, steps, converged = _extreme_eigs(pen, "BE", tol, maxit, seed)
+    inv_m = system.params.inv_m
+    res_min, res_max = (res * (abs(mu) / max(abs(mu + inv_m), 1e-300))
+                        for res, mu in zip(residuals, (mu_min, mu_max)))
+    return SpectralEstimates(mu_max, mu_min, system.params, iterations_used=(steps, 0),
+                             converged=converged, residuals=(res_max, res_min))

@@ -88,6 +88,17 @@ def test_bad_values_name_the_field():
         parse_config("[spectral]\nmode = exact\n")
     with pytest.raises(ConfigError):
         parse_config("[mesh]\nn = 0\n")
+    with pytest.raises(ConfigError):
+        parse_config("[mesh]\nn = 1\n")
+    with pytest.raises(ConfigError, match="inv_m"):
+        parse_config("[solver]\nL = 0\n")
+
+
+def test_zero_stabilization_checked_after_every_section():
+    # L = 0 is admissible with a compressible fluid, whatever the order of
+    # the sections that set the two.
+    cfg = parse_config("[solver]\nL = 0\n[material]\ninv_m = 1e-10\n")
+    assert cfg.L == 0.0 and cfg.material.inv_m == 1e-10
 
 
 def test_zero_sources_option():

@@ -38,3 +38,15 @@ def test_child_setup_and_traced_solve(tmp_path):
     assert names.count("linalg.factorize") == 2
     notes = [span[4] for span in spans if span[0] == "solver.fixed_stress_solve"]
     assert notes and all(note["iterations"] >= 1 for note in notes)
+
+
+def test_child_traced_estimate(tmp_path):
+    # The estimator reaches the Schur operator through `schur_apply`, looked
+    # up by name, so the tracer counts its applies and notes its steps.
+    traced = _child(tmp_path, "trace", str(tmp_path / "spans.json"), "--",
+                    "estimate", "--mesh-n", "4", "--out", str(tmp_path / "est.json"))
+    assert traced.returncode == 0, traced.stderr
+    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    assert any(span[0] == "spectral.schur_apply" for span in spans)
+    notes = [span[4] for span in spans if span[0] == "spectral.estimate_spectrum"]
+    assert notes and all(note["power_steps"] >= 1 for note in notes)

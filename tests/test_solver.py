@@ -377,6 +377,15 @@ def test_built_problem_factors_nothing_after_build(params, monkeypatch):
     assert len(calls) == 2
 
 
+def test_built_problem_factors_a_first(params):
+    # The factor of A is built before that of Mp and before B': at n=64 the
+    # other orders peaked 164 MB against 146 MB. The cached names enter the
+    # instance dict in the order they were built.
+    system = bf.build_problem(4, params, sources=None).system
+    cached = [name for name in vars(system) if name in ("a_solve", "m_solve", "Bt")]
+    assert cached == ["a_solve", "m_solve", "Bt"]
+
+
 def test_time_march_concurrent_l_values_match_serial(params):
     # The README claims distinct stabilization values can be solved
     # concurrently against one assembled system. Four workers and a short

@@ -170,9 +170,9 @@ def test_failed_certificate_not_retried_at_rounding_floor(problem16, monkeypatch
     calls = []
     original = biotfs.spectral.schur_apply
 
-    def counted(system, p):
+    def counted(*args, **kwargs):
         calls.append(None)
-        return original(system, p)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(biotfs.spectral, "schur_apply", counted)
     est = bf.estimate_spectrum(problem16.system, tol=1e-15, seed=1)
@@ -249,9 +249,10 @@ def test_estimate_beta_algebraic_inversion(params):
 
 
 def test_estimate_beta_infsup_signal(params):
-    # lambda_min no larger than inv_m signals a loss of inf-sup stability.
+    # lambda_min no larger than inv_m signals a loss of inf-sup stability:
+    # mu_min = lambda_min - inv_m is not positive.
     compressible = dataclasses.replace(params, inv_m=1.0e-11)
-    with pytest.raises(EstimationError):
+    with pytest.raises(ValueError, match="mu_min"):
         bf.optimal_parameters(2.0e-11, compressible.inv_m, compressible)
 
 
@@ -290,7 +291,7 @@ def test_optimal_parameters_reduction_incompressible(params):
 
 
 def test_optimal_parameters_ordering_violation(params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mu_min"):
         bf.optimal_parameters(1.0e-11, 2.0e-11, params)
 
 

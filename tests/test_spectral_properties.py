@@ -2,9 +2,12 @@
 
 Each example builds a small mesh (n = 2 gives a single pressure dof, where
 one Lanczos step is exact) and checks the SpectralEstimates
-invariants, the agreement with the dense oracle, and that the Richardson
-error contracts at the estimated optimum by no more than rho_opt per step.
+invariants, the agreement with the dense oracles of (S, Mp) and of the
+unshifted (S0, Mp), and that the Richardson error contracts at the
+estimated optimum by no more than rho_opt per step.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
@@ -28,6 +31,15 @@ def materials(draw):
     # inv_m from zero up to ten times the drained scale alpha^2 / K_dr.
     inv_m = draw(st.floats(0.0, 10.0)) * alpha**2 / (mu + lam)
     return bf.MaterialParams(mu=mu, lam=lam, alpha=alpha, inv_m=inv_m)
+
+
+@st.composite
+def gas_saturated(draw):
+    # inv_m from the drained scale up to 1e6 times it, log-spaced: the fluid
+    # term then dominates the pencil's spectrum by up to six digits.
+    params = draw(materials())
+    scale = params.alpha**2 / params.drained_bulk_modulus
+    return dataclasses.replace(params, inv_m=10.0 ** draw(st.floats(0.0, 6.0)) * scale)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -64,3 +76,19 @@ def test_richardson_error_contracts_by_rho_opt(params, n, seed):
             break
         e = bf.richardson_step(system, e / norm, est.omega_opt, g_tilde=zero)
         assert bf.m_norm(system.Mp, e) <= est.rho_opt + CONTRACTION_SLACK
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(params=materials() | gas_saturated(), n=st.integers(2, 16), seed=st.integers(0, 2**31))
+def test_tuning_parameters_match_dense_unshifted_pencil(params, n, seed):
+    # l_opt, k_star and beta depend only on the extreme eigenvalues of
+    # (S0, Mp), S0 = B inv(A) B', whatever inv_m is.
+    system = bf.build_problem(n, params, sources=None).system
+    est = bf.estimate_spectrum(system, tol=1e-8, seed=seed)
+    s0 = system.B @ system.a_solve(system.B.T.toarray())
+    w, _ = bf.dense_generalized_symmetric_eigen(s0, system.Mp)
+    alpha2 = params.alpha**2
+    for value, exact in ((est.l_opt, 0.5 * (w[-1] + w[0])),
+                         (est.k_star, alpha2 / w[-1]),
+                         (est.beta, alpha2 / w[0])):
+        assert abs(value - exact) <= 1e-8 * exact
