@@ -45,7 +45,6 @@ from .linalg import (
 )
 from .mesh import (
     DofMap,
-    DofTag,
     Mesh,
     build_structured_mesh,
     build_taylor_hood_dofs,
@@ -76,7 +75,6 @@ from .spectral import (
     estimate_k_star,
     estimate_spectrum,
     optimal_parameters,
-    pencil,
     schur_apply,
 )
 from .experiment import (

@@ -30,7 +30,7 @@ from .elements import (
     p2_values,
 )
 from .linalg import factorize
-from .mesh import DofMap, DofTag, Mesh
+from .mesh import DofMap, Mesh
 
 SOURCE_SCALE = 1.0e9
 
@@ -134,14 +134,13 @@ def _u_dof_indices(dofs: DofMap) -> np.ndarray:
 
 
 def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape):
+    """Sum local matrices into a global CSR; scipy's COO to CSR conversion
+    sums duplicates and sorts the indices, so the result is canonical."""
     rows = np.broadcast_to(rows, local.shape)
     cols = np.broadcast_to(cols, local.shape)
-    mat = sp.coo_matrix(
+    return sp.coo_matrix(
         (local.ravel(), (rows.ravel(), cols.ravel())), shape=shape
     ).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
 
 
 def _grad_products(mesh: Mesh) -> np.ndarray:
@@ -279,19 +278,6 @@ def manufactured_sources():
     return body_force, fluid_source
 
 
-def _validate_tags(dofs: DofMap) -> None:
-    if dofs.u_node_tags.shape[0] != dofs.num_nodes:
-        raise ValueError("displacement tag array does not match the node count")
-    if dofs.p_tags.shape[0] != dofs.mesh.num_vertices:
-        raise ValueError("pressure tag array does not match the vertex count")
-    u_allowed = {DofTag.INTERIOR, DofTag.DIRICHLET_MOMENTUM, DofTag.NEUMANN_TOP}
-    if not set(np.unique(dofs.u_node_tags)) <= u_allowed:
-        raise ValueError("invalid displacement tag present")
-    p_allowed = {DofTag.INTERIOR, DofTag.DIRICHLET_FLOW}
-    if not set(np.unique(dofs.p_tags)) <= p_allowed:
-        raise ValueError("invalid pressure tag present")
-
-
 def apply_boundary_conditions(
     A: sp.csr_matrix,
     B: sp.csr_matrix,
@@ -304,7 +290,6 @@ def apply_boundary_conditions(
     Homogeneous data only: constrained dofs are removed outright, which
     preserves symmetry and definiteness exactly.
     """
-    _validate_tags(dofs)
     free_u, free_p = dofs.free_u, dofs.free_p
     if free_p.size == 0:
         raise ValueError(

@@ -93,11 +93,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.mesh_ns or min(self.mesh_ns) < 2:
             raise ConfigError(f"mesh sizes must be integers of at least 2, got {self.mesh_ns}")
+        if len(set(self.mesh_ns)) != len(self.mesh_ns):
+            raise ConfigError(f"mesh sizes must be distinct, got {self.mesh_ns}")
         if self.sources not in ("manufactured", "zero"):
             raise ConfigError(f"sources must be manufactured or zero, got {self.sources!r}")
         # SolverConfig checks eps_r, max_iter and a numeric L.
         SolverConfig(L=0.0 if self.L == "optimal" else self.L, eps_r=self.eps_r,
                      max_iter=self.max_iter)
+        if self.L != "optimal" and self.L + self.material.inv_m <= 0.0:
+            raise ConfigError(f"L = {self.L} needs inv_m > 0, got {self.material.inv_m}")
 
 
 def default_config() -> ExperimentConfig:
@@ -155,12 +159,13 @@ _FIELDS = (
 def override(cfg: ExperimentConfig, raw) -> ExperimentConfig:
     """cfg with raw {section: {key: text}} values parsed through _FIELDS.
 
-    Each section is rebuilt once with dataclasses.replace on its own
-    dataclass, which validates it. A mode set without a tol drops any
-    explicit tol, so the tolerance is the new mode's default. A fixed L is
-    checked against inv_m only once every section is applied, since the
-    splitting needs L + inv_m > 0.
+    Each section with its own dataclass is rebuilt with dataclasses.replace,
+    which validates it, and then cfg itself is rebuilt once, so its rules
+    across sections (a fixed L needs L + inv_m > 0) hold in any section
+    order. A mode set without a tol drops any explicit tol, so the
+    tolerance is the new mode's default.
     """
+    changes, labels = {}, []
     for section, values in raw.items():
         fields = {key: (field, parse) for sec, key, field, parse in _FIELDS if sec == section}
         if not fields:
@@ -168,24 +173,25 @@ def override(cfg: ExperimentConfig, raw) -> ExperimentConfig:
         unknown = set(values) - set(fields)
         if unknown:
             raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
-        changes = {}
+        parsed = {}
         for key, text in values.items():
             field, parse = fields[key]
             try:
-                changes[field] = parse(text)
+                parsed[field] = parse(text)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
-        if section == "spectral" and "mode" in changes:
-            changes.setdefault("tol", None)
+        if section == "spectral" and "mode" in parsed:
+            parsed.setdefault("tol", None)
+        labels.append(f"[{section}] {', '.join(values)}")
         owner = getattr(cfg, section, cfg)
         try:
-            rebuilt = replace(owner, **changes)
-            cfg = rebuilt if owner is cfg else replace(cfg, **{section: rebuilt})
+            changes.update(parsed if owner is cfg else {section: replace(owner, **parsed)})
         except ValueError as exc:
-            raise ConfigError(f"[{section}] {', '.join(values)}: {exc}") from exc
-    if cfg.L != "optimal" and cfg.L + cfg.material.inv_m <= 0.0:
-        raise ConfigError(f"[solver] L = {cfg.L} needs [material] inv_m > 0")
-    return cfg
+            raise ConfigError(f"{labels[-1]}: {exc}") from exc
+    try:
+        return replace(cfg, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{'; '.join(labels)}: {exc}") from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:

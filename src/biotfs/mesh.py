@@ -9,21 +9,11 @@ P2 node (vertices plus edge midpoints), pressure one value per vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import cached_property
 
 import numpy as np
 
 from .elements import TRIANGLE_QUAD_POINTS
-
-
-class DofTag(IntEnum):
-    """Boundary classification of a degree of freedom."""
-
-    INTERIOR = 0
-    DIRICHLET_MOMENTUM = 1
-    NEUMANN_TOP = 2
-    DIRICHLET_FLOW = 3
 
 
 @dataclass(frozen=True)
@@ -87,7 +77,7 @@ class Mesh:
 
 
 def _read_only(*arrays):
-    """Cached per-mesh arrays are shared by every later load: lock them."""
+    """Per-mesh arrays are shared by every later load: lock them."""
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -167,7 +157,8 @@ def write_mesh_text(mesh: Mesh, path) -> None:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Taylor-Hood (vector P2 / scalar P1) degrees of freedom with tags.
+    """Taylor-Hood (vector P2 / scalar P1) degrees of freedom, with the free
+    dofs that Dirichlet elimination keeps.
 
     Displacement dofs are interleaved: node k owns dofs 2k (x component) and
     2k+1 (y component). P2 nodes list the mesh vertices first, then one
@@ -177,8 +168,8 @@ class DofMap:
     mesh: Mesh
     node_coords: np.ndarray  # (num_nodes, 2) P2 node positions
     tri_nodes: np.ndarray  # (nt, 6) P2 node indices per triangle
-    u_node_tags: np.ndarray  # (num_nodes,) tag shared by both components
-    p_tags: np.ndarray  # (nv,)
+    free_u: np.ndarray  # ascending, read-only: every reduction and load shares it
+    free_p: np.ndarray  # ascending, read-only: the interior vertices
 
     @property
     def num_nodes(self) -> int:
@@ -192,25 +183,14 @@ class DofMap:
     def num_pressure_dofs(self) -> int:
         return self.mesh.num_vertices
 
-    @property
-    def free_u(self) -> np.ndarray:
-        """Indices of displacement dofs kept after Dirichlet elimination."""
-        nodes = np.flatnonzero(self.u_node_tags != DofTag.DIRICHLET_MOMENTUM)
-        return (2 * np.repeat(nodes, 2) + np.tile([0, 1], nodes.size)).astype(np.int64)
-
-    @property
-    def free_p(self) -> np.ndarray:
-        """Indices of pressure dofs kept after Dirichlet elimination."""
-        return np.flatnonzero(self.p_tags == DofTag.INTERIOR).astype(np.int64)
-
 
 def build_taylor_hood_dofs(mesh: Mesh) -> DofMap:
-    """Number the P2/P1 dofs of a structured mesh and classify the boundary.
+    """Number the P2/P1 dofs of a structured mesh and select the free ones.
 
     Momentum gets homogeneous Dirichlet conditions on the left, right and
     bottom sides and a traction-free (Neumann) top side; the two top corners
     count as Dirichlet. Flow gets homogeneous Dirichlet conditions on the
-    whole boundary.
+    whole boundary. Both components of a node are free or fixed together.
     """
     nv = mesh.num_vertices
     midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
@@ -230,17 +210,8 @@ def build_taylor_hood_dofs(mesh: Mesh) -> DofMap:
     x, y = node_coords[:, 0], node_coords[:, 1]
     on_boundary = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
     open_top = (y == 1.0) & (x > 0.0) & (x < 1.0)
-    u_node_tags = np.full(node_coords.shape[0], DofTag.INTERIOR, dtype=np.int64)
-    u_node_tags[on_boundary] = DofTag.DIRICHLET_MOMENTUM
-    u_node_tags[open_top] = DofTag.NEUMANN_TOP
+    free_nodes = np.flatnonzero(~on_boundary | open_top)
+    free_u = (2 * free_nodes[:, None] + np.arange(2)).ravel()
+    free_p = np.flatnonzero(~on_boundary[:nv])
 
-    p_tags = np.full(nv, DofTag.INTERIOR, dtype=np.int64)
-    p_tags[on_boundary[:nv]] = DofTag.DIRICHLET_FLOW
-
-    return DofMap(
-        mesh=mesh,
-        node_coords=node_coords,
-        tri_nodes=tri_nodes,
-        u_node_tags=u_node_tags,
-        p_tags=p_tags,
-    )
+    return DofMap(mesh, node_coords, tri_nodes, *_read_only(free_u, free_p))

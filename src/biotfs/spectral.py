@@ -33,11 +33,10 @@ converged only when every residual is within the requested tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from .assembly import BiotSystem, MaterialParams, reduced_divdiv
 from .linalg import m_norm
@@ -119,20 +118,12 @@ class SpectralEstimates:
 
 
 class Pencil(NamedTuple):
-    """Symmetric pencil (K, M), M positive definite, as linear operators."""
+    """Symmetric pencil (K, M) as plain products: K(x) = K x, M the positive
+    definite matrix itself, Minv(x) = inv(M) x."""
 
-    K: spla.LinearOperator
-    M: spla.LinearOperator
-    Minv: spla.LinearOperator
-
-
-def pencil(apply_k, apply_m, solve_m, size: int) -> Pencil:
-    """Wrap the products with K and M and the solve with M as a Pencil."""
-
-    def op(matvec):
-        return spla.LinearOperator((size, size), matvec=matvec, dtype=float)
-
-    return Pencil(op(apply_k), op(apply_m), op(solve_m))
+    K: Callable
+    M: Any
+    Minv: Callable
 
 
 def schur_apply(system: BiotSystem, p: np.ndarray, *, shift: bool = True) -> np.ndarray:
@@ -152,11 +143,12 @@ def schur_apply(system: BiotSystem, p: np.ndarray, *, shift: bool = True) -> np.
 def _extreme_eigs(pen: Pencil, which: str, tol: float, maxit: int, seed: int):
     """Extreme eigenpairs of a pencil by Lanczos with full reorthogonalization.
 
-    which="BE" gives both ends, which="LA" the largest. The M-orthonormal
-    basis grows by one vector per K product; each new vector goes twice
-    through classical Gram-Schmidt against the whole basis in the M inner
-    product, which reads the M-products kept with the basis, so
-    reorthogonalization forms none. After step j a Ritz pair
+    which="BE" gives both ends, which="LA" the largest; the order of the
+    pencil is that of M. The M-orthonormal basis grows by one vector per
+    step of one K product, one solve and one product with M; each new
+    vector goes twice through classical Gram-Schmidt against the whole basis
+    in the M inner product, which reads the M-products kept with the basis,
+    so reorthogonalization forms none. After step j a Ritz pair
     (theta, y) has the residual estimate |beta_j s_j| / |theta|, with s_j
     the last entry of its eigenvector of the tridiagonal T_j. Once every
     wanted estimate is within tol the explicit certificate is computed, and
@@ -173,17 +165,17 @@ def _extreme_eigs(pen: Pencil, which: str, tol: float, maxit: int, seed: int):
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    size = pen.K.shape[0]
+    size = pen.M.shape[0]
     steps = min(maxit, size)
     pick = [0, -1] if which == "BE" else [-1]
     q = np.random.default_rng(seed).standard_normal(size)
-    Mq = pen.M.matvec(q)
+    Mq = pen.M @ q
     norm = np.sqrt(q @ Mq)
     Q, MQ = (q / norm)[None], (Mq / norm)[None]
     alpha, beta = [], []
     failed = np.inf  # worst residual of the last failed certificate
     for j in range(1, steps + 1):
-        r = pen.Minv.matvec(pen.K.matvec(Q[-1]))
+        r = pen.Minv(pen.K(Q[-1]))
         coef = 0.0
         for _ in range(2):
             c = MQ @ r
@@ -191,14 +183,14 @@ def _extreme_eigs(pen: Pencil, which: str, tol: float, maxit: int, seed: int):
         alpha.append(coef[-1])
         if alpha[0] == 0.0:
             raise EstimationError("the operator K of the pencil vanishes")
-        Mr = pen.M.matvec(r)
+        Mr = pen.M @ r
         beta.append(np.sqrt(max(r @ Mr, 0.0)))
         theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
         last = j == steps or beta[-1] == 0.0
         if last or np.all(np.abs(beta[-1] * s[-1, pick]) <= tol * np.abs(theta[pick])):
             values, residuals = theta[pick].tolist(), []
             for lam, v in zip(values, s[:, pick].T @ Q):
-                err = pen.Minv.matvec(pen.K.matvec(v)) - lam * v
+                err = pen.Minv(pen.K(v)) - lam * v
                 residuals.append(m_norm(pen.M, err) / max(abs(lam) * m_norm(pen.M, v), 1e-300))
             converged = all(res <= tol for res in residuals)
             if converged or last or max(residuals) >= failed:
@@ -218,7 +210,7 @@ def estimate_k_star(problem, tol: float = 1e-8, maxit: int = 50000,
     """
     system = problem.system
     ddiv = reduced_divdiv(problem.mesh, problem.dofs)
-    pen = pencil(ddiv.__matmul__, system.A.__matmul__, system.a_solve, system.n_u)
+    pen = Pencil(ddiv.__matmul__, system.A, system.a_solve)
     (value,), _, _, _ = _extreme_eigs(pen, "LA", tol, maxit, seed)
     if value <= 0.0:
         raise EstimationError(
@@ -246,8 +238,7 @@ def estimate_spectrum(system: BiotSystem, tol: float = 1e-8,
     reported residuals are those on (S, Mp): the same residual vector,
     relative to |mu + inv_m| instead of |mu|.
     """
-    pen = pencil(lambda p: schur_apply(system, p, shift=False), system.Mp.__matmul__,
-                 system.m_solve, system.n_p)
+    pen = Pencil(lambda p: schur_apply(system, p, shift=False), system.Mp, system.m_solve)
     (mu_min, mu_max), residuals, steps, converged = _extreme_eigs(pen, "BE", tol, maxit, seed)
     inv_m = system.params.inv_m
     res_min, res_max = (res * (abs(mu) / max(abs(mu + inv_m), 1e-300))

@@ -166,6 +166,24 @@ def test_assembled_matrices_symmetric(params):
         assert asym <= 1e-14 * abs(mat).max()
 
 
+def test_assembled_matrices_canonical(params):
+    # The scatter relies on scipy's COO to CSR conversion to sum duplicate
+    # entries and sort the column indices of every row.
+    mesh = bf.build_structured_mesh(3)
+    dofs = bf.build_taylor_hood_dofs(mesh)
+    for mat in (
+        bf.assemble_elasticity(mesh, dofs, params),
+        bf.assemble_coupling(mesh, dofs, params.alpha),
+        bf.assemble_pressure_mass(mesh, dofs),
+        bf.assemble_divdiv(mesh, dofs),
+    ):
+        assert mat.format == "csr"
+        assert mat.has_canonical_format
+        for row in range(mat.shape[0]):
+            cols = mat.indices[mat.indptr[row]:mat.indptr[row + 1]]
+            assert np.all(np.diff(cols) > 0)
+
+
 def test_physical_bulk_modulus_inequality(params):
     # 2*mu*||eps||^2 + lam*||div||^2 >= (2*mu/dim + lam)*||div||^2
     mesh = bf.build_structured_mesh(4)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -90,6 +91,8 @@ def test_bad_values_name_the_field():
         parse_config("[mesh]\nn = 0\n")
     with pytest.raises(ConfigError):
         parse_config("[mesh]\nn = 1\n")
+    with pytest.raises(ConfigError):
+        parse_config("[mesh]\nn = 4 4\n")
     with pytest.raises(ConfigError, match="inv_m"):
         parse_config("[solver]\nL = 0\n")
 
@@ -99,6 +102,13 @@ def test_zero_stabilization_checked_after_every_section():
     # the sections that set the two.
     cfg = parse_config("[solver]\nL = 0\n[material]\ninv_m = 1e-10\n")
     assert cfg.L == 0.0 and cfg.material.inv_m == 1e-10
+
+
+def test_zero_stabilization_rejected_when_built_directly():
+    # The rule lives in ExperimentConfig, so a config built without the
+    # parser is checked too, before any run starts.
+    with pytest.raises(ConfigError, match="inv_m"):
+        dataclasses.replace(bf.default_config(), L=0.0)
 
 
 def test_zero_sources_option():

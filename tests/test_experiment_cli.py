@@ -62,14 +62,12 @@ def test_estimate_coarse_close_to_fine(small_cfg):
 def test_estimate_degenerate_spectrum_reports_zero_rho(params):
     # A proportional pencil has a flat spectrum, so the contraction factor
     # at the optimum is zero.
-    from biotfs.spectral import _extreme_eigs
+    from biotfs.spectral import Pencil, _extreme_eigs
 
     rng = np.random.default_rng(23)
     a = rng.standard_normal((6, 6))
     M = a @ a.T + 6 * np.eye(6)
-    pen = bf.pencil(
-        (2.0 * M).__matmul__, M.__matmul__, lambda x: np.linalg.solve(M, x), 6
-    )
+    pen = Pencil((2.0 * M).__matmul__, M, lambda x: np.linalg.solve(M, x))
     (low, high), _, _, _ = _extreme_eigs(pen, "BE", 1e-12, 100, 0)
     est = bf.optimal_parameters(high, max(low, 1e-300), params)
     assert est.rho_opt <= 1e-10

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import biotfs as bf
-from biotfs.mesh import DofTag
 
 
 def test_smallest_mesh_counts():
@@ -91,8 +90,8 @@ def test_bit_determinism():
     d2 = bf.build_taylor_hood_dofs(m2)
     assert np.array_equal(d1.node_coords, d2.node_coords)
     assert np.array_equal(d1.tri_nodes, d2.tri_nodes)
-    assert np.array_equal(d1.u_node_tags, d2.u_node_tags)
-    assert np.array_equal(d1.p_tags, d2.p_tags)
+    assert np.array_equal(d1.free_u, d2.free_u)
+    assert np.array_equal(d1.free_p, d2.free_p)
 
 
 def test_mesh_text_dump_round_trip():
@@ -137,34 +136,40 @@ def test_top_edge_neumann_both_components():
     # are kept or eliminated together
     d = bf.build_taylor_hood_dofs(bf.build_structured_mesh(4))
     free = set(d.free_u.tolist())
+    expected = []
     for k, (x, y) in enumerate(d.node_coords):
-        expected = DofTag.INTERIOR
-        if x in (0.0, 1.0) or y in (0.0, 1.0):
-            expected = DofTag.DIRICHLET_MOMENTUM
+        kept = not (x in (0.0, 1.0) or y in (0.0, 1.0))
         if y == 1.0 and 0.0 < x < 1.0:
-            expected = DofTag.NEUMANN_TOP
-        assert d.u_node_tags[k] == expected
-        kept = expected != DofTag.DIRICHLET_MOMENTUM
+            kept = True
         assert (2 * k in free) == kept
         assert (2 * k + 1 in free) == kept
+        expected += [2 * k, 2 * k + 1] if kept else []
+    assert d.free_u.tolist() == expected
 
 
 def test_top_corners_are_dirichlet():
     d = bf.build_taylor_hood_dofs(bf.build_structured_mesh(4))
     for corner in ([0.0, 1.0], [1.0, 1.0]):
         (idx,) = np.where((d.node_coords == corner).all(axis=1))
-        assert d.u_node_tags[idx[0]] == DofTag.DIRICHLET_MOMENTUM
+        assert 2 * idx[0] not in d.free_u
+        assert 2 * idx[0] + 1 not in d.free_u
 
 
 def test_tag_partition_exhaustive_disjoint():
     d = bf.build_taylor_hood_dofs(bf.build_structured_mesh(3))
-    assert set(np.unique(d.u_node_tags)) <= {
-        DofTag.INTERIOR,
-        DofTag.DIRICHLET_MOMENTUM,
-        DofTag.NEUMANN_TOP,
-    }
-    assert set(np.unique(d.p_tags)) <= {DofTag.INTERIOR, DofTag.DIRICHLET_FLOW}
+    # free dofs are distinct, ascending and in range
+    for free, size in ((d.free_u, d.num_displacement_dofs), (d.free_p, d.num_pressure_dofs)):
+        assert np.all(np.diff(free) > 0)
+        assert 0 <= free[0] and free[-1] < size
     # every boundary pressure dof is constrained, every interior one kept
+    free_p = set(d.free_p.tolist())
     for v, (x, y) in enumerate(d.mesh.vertices):
         boundary = x in (0.0, 1.0) or y in (0.0, 1.0)
-        assert d.p_tags[v] == (DofTag.DIRICHLET_FLOW if boundary else DofTag.INTERIOR)
+        assert (v in free_p) == (not boundary)
+
+
+def test_free_dofs_are_read_only():
+    d = bf.build_taylor_hood_dofs(bf.build_structured_mesh(3))
+    for free in (d.free_u, d.free_p):
+        with pytest.raises(ValueError):
+            free[0] = 0

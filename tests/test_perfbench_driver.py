@@ -36,6 +36,16 @@ def test_child_setup_and_traced_solve(tmp_path):
     spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
     names = [span[0] for span in spans]
     assert names.count("linalg.factorize") == 2
+    # Setup layers: one mesh, one dof map, one system of three operators,
+    # one reduction; the ten steps' loads; no div-div form.
+    for name in ("mesh.build_structured_mesh", "mesh.build_taylor_hood_dofs",
+                 "assembly.build_system", "assembly.assemble_elasticity",
+                 "assembly.assemble_coupling", "assembly.assemble_pressure_mass",
+                 "assembly.apply_boundary_conditions"):
+        assert names.count(name) == 1, name
+    assert names.count("assembly.assemble_momentum_load") == 10
+    assert names.count("assembly.assemble_source_moment") == 10
+    assert names.count("assembly.assemble_divdiv") == 0
     notes = [span[4] for span in spans if span[0] == "solver.fixed_stress_solve"]
     assert notes and all(note["iterations"] >= 1 for note in notes)
 

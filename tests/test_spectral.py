@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import biotfs as bf
-from biotfs.spectral import EstimationError, _extreme_eigs, pencil
+from biotfs.spectral import EstimationError, Pencil, _extreme_eigs
 
 
 def _identity(x):
@@ -13,7 +13,7 @@ def _identity(x):
 
 
 def _explicit_pencil(K, M):
-    return pencil(K.__matmul__, M.__matmul__, bf.factorize(M).solve, K.shape[0])
+    return Pencil(K.__matmul__, M, bf.factorize(M).solve)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ def test_schur_symmetry_and_definiteness(problem4):
 
 def test_power_max_diag_fixture():
     K = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-    pen = pencil(K.__matmul__, _identity, _identity, 3)
+    pen = Pencil(K.__matmul__, sp.identity(3), _identity)
     (value,), _, _, converged = _extreme_eigs(pen, "LA", 1e-10, 10000, 0)
     assert converged
     assert value == pytest.approx(3.0, rel=1e-8)
@@ -120,7 +120,7 @@ def test_step_cap_sizes_no_allocation(system16):
 
 def test_power_min_diag_fixture():
     K = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-    pen = pencil(K.__matmul__, _identity, _identity, 3)
+    pen = Pencil(K.__matmul__, sp.identity(3), _identity)
     (low, _), _, _, _ = _extreme_eigs(pen, "BE", 1e-10, 10000, 0)
     assert low == pytest.approx(1.0, rel=1e-8)
 
@@ -236,7 +236,7 @@ def test_estimate_k_star_proportional_fixture():
 def test_estimate_k_star_degenerate_signal(problem4):
     system = problem4.system
     zero = sp.csr_matrix(system.A.shape)
-    degenerate = pencil(zero.__matmul__, system.A.__matmul__, system.a_solve, system.n_u)
+    degenerate = Pencil(zero.__matmul__, system.A, system.a_solve)
     with pytest.raises(EstimationError):
         _extreme_eigs(degenerate, "LA", 1e-8, 100, 1)
 
