@@ -78,10 +78,9 @@ from .spectral import (
     schur_apply,
 )
 from .experiment import (
-    SweepReport,
-    SweepRow,
     estimate_report,
     solve_report,
+    sweep_csv,
     sweep_report,
     verify_report,
 )

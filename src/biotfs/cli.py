@@ -17,6 +17,7 @@ from .experiment import (
     dump_system,
     estimate_report,
     solve_report,
+    sweep_csv,
     sweep_report,
     verify_report,
 )
@@ -131,10 +132,10 @@ def cmd_sweep(args) -> int:
     if args.dump_matrices:
         _dump(cfg, ns, args.dump_matrices)
     report = sweep_report(cfg, mesh_ns=ns)
-    _emit(report.to_csv_text(), args.out)
+    _emit(sweep_csv(report), args.out)
     if args.out is not None:
         sidecar = args.out.with_suffix(args.out.suffix + ".json")
-        sidecar.write_text(json.dumps(report.to_json_dict(), indent=2), encoding="utf-8")
+        sidecar.write_text(json.dumps(report, indent=2), encoding="utf-8")
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
 """Experiment drivers: estimates, single solves, stabilization sweeps and a
-verification battery, with CSV/JSON reporting.
+verification battery. Each report is the plain dict its JSON prints; the
+sweep's CSV is a view of its rows.
 
 Report schemas (stable within a major version):
 
@@ -11,9 +12,10 @@ Report schemas (stable within a major version):
   "steps": [{"index", "t", "iterations", "converged"}],
   "average_iterations", "diverged", "final_pressure_norm",
   "final_displacement_norm"}
-* sweep CSV columns: n,h,D,L,avg_iterations,diverged (rows sorted by (n, D))
-  plus a JSON sidecar {"schema": "biotfs.sweep/1", ..., "rows": [...],
-  "estimates": {str(n): {...}}, "predicted_d_opt": {str(n): float}}
+* sweep: the JSON sidecar {"schema": "biotfs.sweep/1", ..., "rows":
+  [{"n", "h", "D", "L", "avg_iterations", "diverged"}] (sorted by (n, D)),
+  "estimates": {str(n): {...}}, "predicted_d_opt": {str(n): float}}; its
+  CSV view `sweep_csv` has the columns n,h,D,L,avg_iterations,diverged
 * verify: {"schema": "biotfs.verify/1", ..., "passed", "checks":
   [{"name", "measured", "bound", "op", "passed"}]}
 """
@@ -21,7 +23,6 @@ Report schemas (stable within a major version):
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,12 @@ def _estimates(cfg: ExperimentConfig, problem: TransientProblem) -> SpectralEsti
     )
 
 
+def _report(kind: str, cfg_hash: str, **fields) -> dict:
+    """The report envelope of `kind` followed by its fields."""
+    return {"schema": f"biotfs.{kind}/1", "version": __version__, "config_hash": cfg_hash,
+            **fields}
+
+
 def estimates_to_dict(n: int, est: SpectralEstimates) -> dict:
     return {
         "n": n,
@@ -89,13 +96,7 @@ def estimate_report(cfg: ExperimentConfig, mesh_ns=None) -> dict:
         problem = _problem(cfg, n)
         est = _estimates(cfg, problem)
         meshes.append(estimates_to_dict(n, est))
-    return {
-        "schema": "biotfs.estimate/1",
-        "version": __version__,
-        "config_hash": config_hash(cfg),
-        "mode": cfg.spectral.mode,
-        "meshes": meshes,
-    }
+    return _report("estimate", config_hash(cfg), mode=cfg.spectral.mode, meshes=meshes)
 
 
 def solve_report(cfg: ExperimentConfig, n: int) -> dict:
@@ -115,67 +116,24 @@ def solve_report(cfg: ExperimentConfig, n: int) -> dict:
             zip(result.times, result.counts, result.converged_flags)
         )
     ]
-    return {
-        "schema": "biotfs.solve/1",
-        "version": __version__,
-        "config_hash": config_hash(cfg),
-        "n": n,
-        "h": 1.0 / n,
-        "L": L,
-        "L_mode": l_mode,
-        "steps": steps,
-        "average_iterations": result.average,
-        "diverged": result.diverged,
-        "final_pressure_norm": m_norm(problem.system.Mp, result.p),
-        "final_displacement_norm": m_norm(problem.system.A, result.u),
-    }
+    return _report(
+        "solve",
+        config_hash(cfg),
+        n=n,
+        h=1.0 / n,
+        L=L,
+        L_mode=l_mode,
+        steps=steps,
+        average_iterations=result.average,
+        diverged=result.diverged,
+        final_pressure_norm=m_norm(problem.system.Mp, result.p),
+        final_displacement_norm=m_norm(problem.system.A, result.u),
+    )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    h: float
-    D: float
-    L: float
-    avg_iterations: float
-    diverged: bool
-
-
-@dataclass
-class SweepReport:
-    """Average iteration counts over the stabilization grid, per mesh."""
-
-    rows: list
-    estimates: dict  # n -> SpectralEstimates
-    config_hash: str
-
-    @property
-    def predicted_d_opt(self) -> dict:
-        """n -> the optimal D of that mesh's estimates."""
-        return {n: est.d_opt for n, est in self.estimates.items()}
-
-    def to_csv_text(self) -> str:
-        lines = ["n,h,D,L,avg_iterations,diverged"]
-        for r in self.rows:
-            lines.append(
-                f"{r.n},{r.h!r},{r.D!r},{r.L!r},{r.avg_iterations!r},"
-                f"{'true' if r.diverged else 'false'}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "biotfs.sweep/1",
-            "version": __version__,
-            "config_hash": self.config_hash,
-            "rows": [dataclasses.asdict(r) for r in self.rows],
-            "estimates": {str(n): estimates_to_dict(n, est) for n, est in self.estimates.items()},
-            "predicted_d_opt": {str(n): d for n, d in self.predicted_d_opt.items()},
-        }
-
-
-def sweep_report(cfg: ExperimentConfig, mesh_ns=None) -> SweepReport:
-    """Run the stabilization sweep over every (mesh, D) pair.
+def sweep_report(cfg: ExperimentConfig, mesh_ns=None) -> dict:
+    """Run the stabilization sweep over every (mesh, D) pair; the result is
+    the JSON sidecar document, and `sweep_csv` renders its rows.
 
     A non-convergent row is recorded with the iteration cap as its average
     and the divergence flag set; an exception from a row propagates.
@@ -191,38 +149,40 @@ def sweep_report(cfg: ExperimentConfig, mesh_ns=None) -> SweepReport:
             L = float(alpha**2 / d_value)
             solver = SolverConfig(L=L, eps_r=cfg.eps_r, max_iter=cfg.max_iter)
             result = time_march(problem, solver, cfg.temporal)
-            rows.append(
-                SweepRow(
-                    n=n,
-                    h=1.0 / n,
-                    D=float(d_value),
-                    L=L,
-                    avg_iterations=result.average,
-                    diverged=result.diverged,
-                )
-            )
-    return SweepReport(rows=rows, estimates=estimates, config_hash=config_hash(cfg))
+            rows.append({"n": n, "h": 1.0 / n, "D": float(d_value), "L": L,
+                         "avg_iterations": result.average, "diverged": result.diverged})
+    return _report(
+        "sweep",
+        config_hash(cfg),
+        rows=rows,
+        estimates={str(n): estimates_to_dict(n, est) for n, est in estimates.items()},
+        predicted_d_opt={str(n): est.d_opt for n, est in estimates.items()},
+    )
+
+
+def sweep_csv(report: dict) -> str:
+    """The CSV view of a sweep report: one line per row, floats by repr."""
+    lines = ["n,h,D,L,avg_iterations,diverged"]
+    for r in report["rows"]:
+        lines.append(
+            f"{r['n']},{r['h']!r},{r['D']!r},{r['L']!r},{r['avg_iterations']!r},"
+            f"{'true' if r['diverged'] else 'false'}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # verification battery
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    measured: float
-    bound: float
-    op: str  # "<=" or ">"
-    passed: bool
+def _le(name: str, measured, bound) -> dict:
+    return {"name": name, "measured": float(measured), "bound": float(bound), "op": "<=",
+            "passed": bool(measured <= bound)}
 
-    @staticmethod
-    def le(name, measured, bound):
-        return Check(name, float(measured), float(bound), "<=", bool(measured <= bound))
 
-    @staticmethod
-    def gt(name, measured, bound):
-        return Check(name, float(measured), float(bound), ">", bool(measured > bound))
+def _gt(name: str, measured, bound) -> dict:
+    return {"name": name, "measured": float(measured), "bound": float(bound), "op": ">",
+            "passed": bool(measured > bound)}
 
 
 def _rel(a: float, b: float) -> float:
@@ -277,11 +237,11 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     beta_ident = alpha2 / (lam_min_d - params.inv_m)
     est4 = estimate_spectrum(sys4, tol=1e-8, seed=seed)
     checks = [
-        Check.le("kstar_route_vs_lambda_max_n4",
+        _le("kstar_route_vs_lambda_max_n4",
                  _rel(alpha2 / k_star_div + params.inv_m, lam_max_d), 1e-6),
-        Check.le("beta_route_vs_lambda_min_n4", _rel(alpha2 / float(wb[0]), beta_ident), 1e-6),
-        Check.le("power_max_vs_dense_n4", _rel(est4.lambda_max, lam_max_d), 1e-6),
-        Check.le("power_min_vs_dense_n4", _rel(est4.lambda_min, lam_min_d), 1e-6),
+        _le("beta_route_vs_lambda_min_n4", _rel(alpha2 / float(wb[0]), beta_ident), 1e-6),
+        _le("power_max_vs_dense_n4", _rel(est4.lambda_max, lam_max_d), 1e-6),
+        _le("power_min_vs_dense_n4", _rel(est4.lambda_min, lam_min_d), 1e-6),
     ]
 
     rng = np.random.default_rng(seed)
@@ -294,7 +254,7 @@ def verify_report(cfg: ExperimentConfig) -> dict:
             sym_err,
             abs(float(qv @ schur_apply(sys4, pv)) - float(pv @ schur_apply(sys4, qv))),
         )
-    checks.append(Check.le("schur_symmetry_n4", sym_err / scale, 1e-10))
+    checks.append(_le("schur_symmetry_n4", sym_err / scale, 1e-10))
 
     # Richardson equivalence and contraction on a slightly larger mesh,
     # under the first-step loads of the built-in sources.
@@ -319,7 +279,7 @@ def verify_report(cfg: ExperimentConfig) -> dict:
             eq_err,
             float(np.linalg.norm(p_fs - p_ri)) / max(float(np.linalg.norm(p_ri)), 1e-300),
         )
-    checks.append(Check.le("richardson_equivalence_n8", eq_err, 1e-8))
+    checks.append(_le("richardson_equivalence_n8", eq_err, 1e-8))
 
     # Random errors: every step's ratio, then the mean rate over steps 26-50.
     worst = max(max(_error_ratios(sys8, rng.standard_normal(sys8.n_p), om, 50)) - est8.rho(om)
@@ -329,35 +289,30 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     in_lo = est8.l_opt >= alpha2 / (2.0 * est8.k_star) * (1.0 - 1e-12)
     in_hi = est8.l_opt <= alpha2 / est8.k_star * (1.0 + 1e-12)
     checks += [
-        Check.le("contraction_bound_n8", worst, 1e-8),
-        Check.le("contraction_asymptote_n8", abs(tail_ratio / est8.rho_opt - 1.0), 0.05),
-        Check.gt("ordering_beta_over_kstar_n8", est8.beta / est8.k_star, 1.0 - 1e-12),
-        Check.gt("ordering_kstar_over_kdr_n8",
+        _le("contraction_bound_n8", worst, 1e-8),
+        _le("contraction_asymptote_n8", abs(tail_ratio / est8.rho_opt - 1.0), 0.05),
+        _gt("ordering_beta_over_kstar_n8", est8.beta / est8.k_star, 1.0 - 1e-12),
+        _gt("ordering_kstar_over_kdr_n8",
                  est8.k_star / params.drained_bulk_modulus, 1.0 - 1e-12),
-        Check.gt("lopt_within_interval_n8", float(in_lo and in_hi), 0.0),
+        _gt("lopt_within_interval_n8", float(in_lo and in_hi), 0.0),
     ]
 
     # Relaxation past 2 / lambda_max grows the error along the top eigenvector.
     ratios = _error_ratios(sys8, v8[:, -1], 2.0 / (0.9 * lmax8), 10)
-    checks.append(Check.gt("divergence_growth_n8", float(np.prod(ratios)), 1.0))
+    checks.append(_gt("divergence_growth_n8", float(np.prod(ratios)), 1.0))
 
     est_fine = estimate_spectrum(sys8, tol=1e-8, seed=seed)
     est_coarse = estimate_spectrum(sys8, tol=1e-3, seed=seed)
     checks.append(
-        Check.le("coarse_vs_fine_lopt_n8", _rel(est_coarse.l_opt, est_fine.l_opt), 0.02)
+        _le("coarse_vs_fine_lopt_n8", _rel(est_coarse.l_opt, est_fine.l_opt), 0.02)
     )
 
     # Hash only what the battery reads: the material, time grid and seed.
     defaults = default_config()
     read = dataclasses.replace(defaults, material=params, temporal=cfg.temporal,
                                spectral=dataclasses.replace(defaults.spectral, seed=seed))
-    return {
-        "schema": "biotfs.verify/1",
-        "version": __version__,
-        "config_hash": config_hash(read),
-        "passed": all(c.passed for c in checks),
-        "checks": [dataclasses.asdict(c) for c in checks],
-    }
+    return _report("verify", config_hash(read),
+                   passed=all(c["passed"] for c in checks), checks=checks)
 
 
 def dump_system(n: int, params: MaterialParams, directory) -> None:

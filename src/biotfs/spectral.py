@@ -206,16 +206,21 @@ def estimate_k_star(problem, tol: float = 1e-8, maxit: int = 50000,
     Computed as the reciprocal of the largest eigenvalue of the pencil
     (Ddiv, A) of a problem, with Ddiv assembled for this call from its mesh
     and dofs; it is at least the physical drained bulk modulus and depends
-    on the boundary conditions.
+    on the boundary conditions. Raises EstimationError when the eigenvalue's
+    residual certificate does not pass tol within maxit Lanczos steps.
     """
     system = problem.system
     ddiv = reduced_divdiv(problem.mesh, problem.dofs)
     pen = Pencil(ddiv.__matmul__, system.A, system.a_solve)
-    (value,), _, _, _ = _extreme_eigs(pen, "LA", tol, maxit, seed)
+    (value,), (residual,), _, converged = _extreme_eigs(pen, "LA", tol, maxit, seed)
     if value <= 0.0:
         raise EstimationError(
             "div-div form vanishes on the displacement space; "
             "the discretization is degenerate"
+        )
+    if not converged:
+        raise EstimationError(
+            f"k_star not certified: eigen-residual {residual:.3e} exceeds tol {tol:.3e}"
         )
     return 1.0 / value
 

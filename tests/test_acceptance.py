@@ -130,11 +130,11 @@ def test_criterion_3_contraction_bound(problem8, dense_eigen8, params):
 
 def test_criterion_4_sweep_optimality(cfg, params):
     report = sweep_report(cfg, mesh_ns=(16,))
-    rows = report.rows
-    d_opt = report.predicted_d_opt[16]
+    rows = report["rows"]
+    d_opt = report["predicted_d_opt"]["16"]
     step = (cfg.sweep.d_max - cfg.sweep.d_min) / (cfg.sweep.count - 1)
-    best = min(rows, key=lambda r: r.avg_iterations)
-    ok_argmin = abs(best.D - d_opt) <= step * (1.0 + 1e-12)
+    best = min(rows, key=lambda r: r["avg_iterations"])
+    ok_argmin = abs(best["D"] - d_opt) <= step * (1.0 + 1e-12)
 
     prob = bf.build_problem(16, params, sources="manufactured")
     left = bf.time_march(
@@ -143,15 +143,15 @@ def test_criterion_4_sweep_optimality(cfg, params):
                         max_iter=cfg.max_iter),
         cfg.temporal,
     ).average
-    ok_ratio = left >= 1.3 * best.avg_iterations
+    ok_ratio = left >= 1.3 * best["avg_iterations"]
 
     ok = ok_argmin and ok_ratio
     assert _report(
         "4 sweep optimality",
         ok,
-        f"argmin D {best.D:.4e} vs predicted {d_opt:.4e} (step {step:.3e}), "
-        f"counts {left:.1f} at D=0.69e11 vs min {best.avg_iterations:.1f} "
-        f"(ratio {left / best.avg_iterations:.2f} >= 1.3)",
+        f"argmin D {best['D']:.4e} vs predicted {d_opt:.4e} (step {step:.3e}), "
+        f"counts {left:.1f} at D=0.69e11 vs min {best['avg_iterations']:.1f} "
+        f"(ratio {left / best['avg_iterations']:.2f} >= 1.3)",
     )
 
 

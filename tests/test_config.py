@@ -199,3 +199,11 @@ def test_negative_seed_rejected():
 def test_readme_example_config_is_the_default():
     (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert parse_config(block) == bf.default_config()
+
+
+def test_readme_library_example_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "first step iterations:" in out
+    assert "n,h,D,L,avg_iterations,diverged\n4," in out

@@ -10,7 +10,13 @@ import pytest
 import biotfs as bf
 from biotfs.cli import build_parser, main
 from biotfs.config import parse_config
-from biotfs.experiment import estimate_report, solve_report, sweep_report, verify_report
+from biotfs.experiment import (
+    estimate_report,
+    solve_report,
+    sweep_csv,
+    sweep_report,
+    verify_report,
+)
 
 SMALL_CFG = """
 [mesh]
@@ -131,12 +137,12 @@ def test_cli_solve_hash_covers_L(tmp_path):
 
 def test_sweep_rows_and_invariants(small_cfg):
     report = sweep_report(small_cfg)
-    assert len(report.rows) == 4
+    assert len(report["rows"]) == 4
     alpha = small_cfg.material.alpha
-    for row in report.rows:
-        assert row.L * row.D == pytest.approx(alpha**2, rel=1e-15)
-        assert row.avg_iterations >= 1.0 or row.diverged
-    ds = [row.D for row in report.rows]
+    for row in report["rows"]:
+        assert row["L"] * row["D"] == pytest.approx(alpha**2, rel=1e-15)
+        assert row["avg_iterations"] >= 1.0 or row["diverged"]
+    ds = [row["D"] for row in report["rows"]]
     assert ds == sorted(ds)
 
 
@@ -145,14 +151,14 @@ def test_sweep_two_rows_csv(small_cfg):
         small_cfg, sweep=bf.SweepGrid(d_min=1.0e11, d_max=1.3e11, count=2)
     )
     report = sweep_report(cfg)
-    lines = report.to_csv_text().strip().splitlines()
+    lines = sweep_csv(report).strip().splitlines()
     assert lines[0] == "n,h,D,L,avg_iterations,diverged"
     assert len(lines) == 3
 
 
 def test_sweep_csv_bit_deterministic(small_cfg):
-    a = sweep_report(small_cfg).to_csv_text()
-    b = sweep_report(small_cfg).to_csv_text()
+    a = sweep_csv(sweep_report(small_cfg))
+    b = sweep_csv(sweep_report(small_cfg))
     assert a == b
 
 
@@ -163,7 +169,7 @@ def test_sweep_rows_sorted_across_meshes(small_cfg):
         sweep=bf.SweepGrid(d_min=1.0e11, d_max=1.3e11, count=2),
     )
     report = sweep_report(cfg)
-    keys = [(r.n, r.D) for r in report.rows]
+    keys = [(r["n"], r["D"]) for r in report["rows"]]
     assert keys == sorted(keys)
 
 
@@ -177,12 +183,12 @@ def test_sweep_counts_rise_past_the_optimum(small_cfg, params):
         sweep=bf.SweepGrid(d_min=d_opt_guess, d_max=d_opt_guess + 2.0e10, count=6),
     )
     report = sweep_report(cfg)
-    counts = [r.avg_iterations for r in report.rows]
+    counts = [r["avg_iterations"] for r in report["rows"]]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
 def test_sweep_json_roundtrip(small_cfg):
-    doc = sweep_report(small_cfg).to_json_dict()
+    doc = sweep_report(small_cfg)
     again = json.loads(json.dumps(doc))
     assert again == doc
     assert doc["schema"] == "biotfs.sweep/1"
@@ -352,17 +358,42 @@ def test_cli_config_error_exit(tmp_path, capsys):
 
 
 def test_cli_sweep_outputs(tmp_path, capsys):
+    # The CSV is a view of the sidecar's rows: each line renders one row
+    # field by field, and stdout carries the same bytes as the file.
     cfg = _write_cfg(
         tmp_path,
-        "[mesh]\nn = 4\n[sweep]\nd_min = 1.0e11\nd_max = 1.3e11\ncount = 2\n",
+        "[mesh]\nn = 4 2\n[sweep]\nd_min = 1.0e11\nd_max = 1.3e11\ncount = 2\n",
     )
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 5
     sidecar = json.loads((tmp_path / "sweep.csv.json").read_text())
     assert sidecar["schema"] == "biotfs.sweep/1"
+    assert lines[0] == "n,h,D,L,avg_iterations,diverged"
+    assert len(sidecar["rows"]) == 4
+    for line, row in zip(lines[1:], sidecar["rows"]):
+        fields = [str(row["n"])] + [repr(row[k]) for k in ("h", "D", "L", "avg_iterations")]
+        fields.append("true" if row["diverged"] else "false")
+        assert line == ",".join(fields)
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("cmd", ["estimate", "solve", "sweep", "verify"])
+def test_cli_reports_open_with_the_envelope(tmp_path, capsys, cmd):
+    # Every JSON report opens with the same three keys, in this order.
+    cfg = _write_cfg(
+        tmp_path, "[mesh]\nn = 4\n[sweep]\nd_min = 1.0e11\nd_max = 1.3e11\ncount = 2\n"
+    )
+    out = tmp_path / "out"
+    code = main([cmd, "--config", str(cfg), "--out", str(out)])
+    assert code == (4 if cmd == "verify" else 0)
+    doc = json.loads((tmp_path / "out.json" if cmd == "sweep" else out).read_text())
+    assert list(doc)[:3] == ["schema", "version", "config_hash"]
+    assert doc["schema"] == f"biotfs.{cmd}/1"
 
 
 def test_cli_sweep_seed_matches_config_seed(tmp_path, capsys):
@@ -452,7 +483,7 @@ def test_sweep_copies_share_two_factors(monkeypatch):
 
     calls = _count_calls(monkeypatch, biotfs.assembly, "factorize")
     report = sweep_report(bf.default_config(), mesh_ns=(4,))
-    assert len(report.rows) == 31
+    assert len(report["rows"]) == 31
     assert len(calls) == 2
 
 

@@ -18,7 +18,7 @@ def _explicit_pencil(K, M):
 
 @pytest.fixture(scope="module")
 def system16(params):
-    return bf.build_problem(16, params, sources=None).system.prepare()
+    return bf.build_problem(16, params, sources=None).system
 
 
 def test_schur_apply_zero(problem4):
@@ -239,6 +239,13 @@ def test_estimate_k_star_degenerate_signal(problem4):
     degenerate = Pencil(zero.__matmul__, system.A, system.a_solve)
     with pytest.raises(EstimationError):
         _extreme_eigs(degenerate, "LA", 1e-8, 100, 1)
+
+
+def test_estimate_k_star_rejects_an_uncertified_value(problem4):
+    # Three Lanczos steps leave the top eigenvalue's residual far above tol;
+    # the estimate must fail instead of returning the uncertified value.
+    with pytest.raises(EstimationError, match="not certified"):
+        bf.estimate_k_star(problem4, tol=1e-10, maxit=3)
 
 
 def test_estimate_beta_algebraic_inversion(params):

@@ -45,7 +45,7 @@ def gas_saturated(draw):
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(params=materials(), n=st.integers(2, 10), seed=st.integers(0, 2**31))
 def test_estimates_hold_invariants_and_match_dense(params, n, seed):
-    system = bf.build_problem(n, params, sources=None).system.prepare()
+    system = bf.build_problem(n, params, sources=None).system
     est = bf.estimate_spectrum(system, tol=1e-8, seed=seed)
 
     assert est.converged
@@ -66,7 +66,7 @@ def test_estimates_hold_invariants_and_match_dense(params, n, seed):
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(params=materials(), n=st.integers(2, 10), seed=st.integers(0, 2**31))
 def test_richardson_error_contracts_by_rho_opt(params, n, seed):
-    system = bf.build_problem(n, params, sources=None).system.prepare()
+    system = bf.build_problem(n, params, sources=None).system
     est = bf.estimate_spectrum(system, tol=1e-8, seed=seed)
     zero = np.zeros(system.n_p)
     e = np.random.default_rng(seed).standard_normal(system.n_p)
