@@ -49,7 +49,6 @@ from .mesh import (
     build_structured_mesh,
     build_taylor_hood_dofs,
     mesh_to_text,
-    triangle_areas,
     write_mesh_text,
 )
 from .solver import (

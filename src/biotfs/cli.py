@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Subcommands: estimate, solve, sweep, verify. Exit codes: 0 success, 2
-configuration error, 3 numerical divergence, 4 verification failure.
+Subcommands: estimate, solve, sweep, verify. `main` loads the
+configuration, picks the meshes and writes --dump-matrices once for every
+command; each cmd_* function then only builds its report, writes it and
+returns the exit code. Exit codes: 0 success, 2 configuration error,
+3 numerical divergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -43,33 +46,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", dest="spectral.seed", metavar="N",
                        help="override [spectral] seed")
         p.add_argument("--out", type=Path, help="output path (default: stdout)")
-        p.add_argument(
-            "--dump-matrices",
-            type=Path,
-            metavar="DIR",
-            help="dump reduced operators in Matrix Market format per mesh",
-        )
+        p.add_argument("--dump-matrices", type=Path, metavar="DIR",
+                       help="dump reduced operators in Matrix Market format per mesh")
 
-    def runs(p):
+    def runs(p, run):
         common(p)
         p.add_argument(
             "--mesh-n", type=int, help="run one mesh resolution (not part of config_hash)"
         )
         p.add_argument("--mode", dest="spectral.mode", metavar="fine|coarse",
                        help="override [spectral] mode and reset [spectral] tol to its default")
+        p.set_defaults(run=run)
         return p
 
-    runs(sub.add_parser("estimate", help="spectral estimates and optimal parameters"))
-    p_solve = runs(sub.add_parser("solve", help="time march one mesh at a stabilization"))
+    runs(sub.add_parser("estimate", help="spectral estimates and optimal parameters"),
+         cmd_estimate)
+    p_solve = runs(sub.add_parser("solve", help="time march one mesh at a stabilization"),
+                   cmd_solve)
     p_solve.add_argument("--L", dest="solver.L", metavar="L|optimal",
                          help="override [solver] L, the stabilization parameter")
-    runs(sub.add_parser("sweep", help="average iterations over the D grid"))
+    runs(sub.add_parser("sweep", help="average iterations over the D grid"), cmd_sweep)
     common(sub.add_parser("verify", help="dense-oracle verification battery"))
 
     return parser
 
 
-def _load(args):
+def _load(args: argparse.Namespace):
     """The config file (or the defaults) with the flags whose dest is a
     "section.key" applied as raw values of those keys."""
     cfg = load_config(args.config) if args.config else default_config()
@@ -91,58 +93,27 @@ def _emit(payload: str, out: Path | None) -> None:
         out.write_text(payload, encoding="utf-8")
 
 
-def _dump(cfg, ns, directory: Path) -> None:
-    for n in ns:
-        dump_system(n, cfg.material, directory / f"n{n}")
-
-
-def _mesh_selection(cfg, args):
-    if args.mesh_n is not None:  # checked like [mesh] n, but not hashed
-        return replace(cfg, mesh_ns=(args.mesh_n,)).mesh_ns
-    return cfg.mesh_ns
-
-
-def cmd_estimate(args) -> int:
-    cfg = _load(args)
-    ns = _mesh_selection(cfg, args)
-    if args.dump_matrices:
-        _dump(cfg, ns, args.dump_matrices)
-    report = estimate_report(cfg, mesh_ns=ns)
-    _emit(json.dumps(report, indent=2), args.out)
+def cmd_estimate(cfg, ns, out) -> int:
+    _emit(json.dumps(estimate_report(cfg, mesh_ns=ns), indent=2), out)
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    cfg = _load(args)
-    ns = _mesh_selection(cfg, args)
-    if len(ns) != 1:
-        raise ConfigError(
-            "solve needs a single mesh; pass --mesh-n or configure one value"
-        )
-    if args.dump_matrices:
-        _dump(cfg, ns, args.dump_matrices)
+def cmd_solve(cfg, ns, out) -> int:
     report = solve_report(cfg, ns[0])
-    _emit(json.dumps(report, indent=2), args.out)
+    _emit(json.dumps(report, indent=2), out)
     return EXIT_DIVERGED if report["diverged"] else EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    ns = _mesh_selection(cfg, args)
-    if args.dump_matrices:
-        _dump(cfg, ns, args.dump_matrices)
+def cmd_sweep(cfg, ns, out) -> int:
     report = sweep_report(cfg, mesh_ns=ns)
-    _emit(sweep_csv(report), args.out)
-    if args.out is not None:
-        sidecar = args.out.with_suffix(args.out.suffix + ".json")
+    _emit(sweep_csv(report), out)
+    if out is not None:
+        sidecar = out.with_suffix(out.suffix + ".json")
         sidecar.write_text(json.dumps(report, indent=2), encoding="utf-8")
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = _load(args)
-    if args.dump_matrices:
-        _dump(cfg, (4, 8), args.dump_matrices)
+def cmd_verify(cfg, out) -> int:
     report = verify_report(cfg)
     width = max(len(c["name"]) for c in report["checks"])
     lines = []
@@ -153,24 +124,30 @@ def cmd_verify(args) -> int:
             f"{c['op']} {c['bound']:.6e}  {status}"
         )
     lines.append("verdict: " + ("PASS" if report["passed"] else "FAIL"))
-    table = "\n".join(lines) + "\n"
-    sys.stdout.write(table)
-    if args.out is not None:
-        _emit(json.dumps(report, indent=2), args.out)
+    sys.stdout.write("\n".join(lines) + "\n")
+    if out is not None:
+        _emit(json.dumps(report, indent=2), out)
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "estimate": cmd_estimate,
-        "solve": cmd_solve,
-        "sweep": cmd_sweep,
-        "verify": cmd_verify,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        cfg = _load(args)
+        if args.command == "verify":
+            ns = (4, 8)  # the battery's meshes
+        elif args.mesh_n is not None:  # checked like [mesh] n, but not hashed
+            ns = replace(cfg, mesh_ns=(args.mesh_n,)).mesh_ns
+        else:
+            ns = cfg.mesh_ns
+        if args.command == "solve" and len(ns) != 1:
+            raise ConfigError("solve needs a single mesh; pass --mesh-n or configure one value")
+        if args.dump_matrices:
+            for n in ns:
+                dump_system(n, cfg.material, args.dump_matrices / f"n{n}")
+        if args.command == "verify":
+            return cmd_verify(cfg, args.out)
+        return args.run(cfg, ns, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

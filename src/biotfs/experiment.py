@@ -11,7 +11,8 @@ Report schemas (stable within a major version):
 * solve: {"schema": "biotfs.solve/1", ..., "n", "h", "L", "L_mode",
   "steps": [{"index", "t", "iterations", "converged"}],
   "average_iterations", "diverged", "final_pressure_norm",
-  "final_displacement_norm"}
+  "final_displacement_norm", "estimate"}, where "estimate" (an estimate
+  mesh entry, the L marched at) is present only when L_mode is "optimal"
 * sweep: the JSON sidecar {"schema": "biotfs.sweep/1", ..., "rows":
   [{"n", "h", "D", "L", "avg_iterations", "diverged"}] (sorted by (n, D)),
   "estimates": {str(n): {...}}, "predicted_d_opt": {str(n): float}}; its
@@ -103,11 +104,11 @@ def solve_report(cfg: ExperimentConfig, n: int) -> dict:
     """Time-march one mesh at cfg.L, a fixed value or "optimal" (estimated)."""
     problem = _problem(cfg, n)
     if cfg.L == "optimal":
-        L = _estimates(cfg, problem).l_opt
-        l_mode = "optimal"
+        est = _estimates(cfg, problem)
+        L, l_mode = est.l_opt, "optimal"
+        extra = {"estimate": estimates_to_dict(n, est)}  # the estimate L comes from
     else:
-        L = float(cfg.L)
-        l_mode = "fixed"
+        L, l_mode, extra = float(cfg.L), "fixed", {}
     solver = SolverConfig(L=L, eps_r=cfg.eps_r, max_iter=cfg.max_iter)
     result = time_march(problem, solver, cfg.temporal)
     steps = [
@@ -128,6 +129,7 @@ def solve_report(cfg: ExperimentConfig, n: int) -> dict:
         diverged=result.diverged,
         final_pressure_norm=m_norm(problem.system.Mp, result.p),
         final_displacement_norm=m_norm(problem.system.A, result.u),
+        **extra,
     )
 
 

@@ -134,14 +134,6 @@ def build_structured_mesh(n: int) -> Mesh:
     return Mesh(n=n, vertices=vertices, triangles=triangles, edges=edges)
 
 
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    """Signed triangle areas, positive for counterclockwise orientation."""
-    v = mesh.vertices[mesh.triangles]
-    d1 = v[:, 1] - v[:, 0]
-    d2 = v[:, 2] - v[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
 def mesh_to_text(mesh: Mesh) -> str:
     """Plain-text mesh dump: one 'v x y' line per vertex, one 't i j k' per
     triangle. Intended for debugging and external cross-checks."""

@@ -98,7 +98,7 @@ class SpectralEstimates:
 
     @property
     def l_opt(self) -> float:
-        return 1.0 / self.omega_opt - self.params.inv_m
+        return 0.5 * (self.mu_max + self.mu_min)
 
     @property
     def d_opt(self) -> float:
@@ -107,7 +107,7 @@ class SpectralEstimates:
 
     @property
     def rho_opt(self) -> float:
-        return (self.lambda_max - self.lambda_min) / (self.lambda_max + self.lambda_min)
+        return (self.mu_max - self.mu_min) / (self.lambda_max + self.lambda_min)
 
     def rho(self, omega: float) -> float:
         """Richardson contraction factor for an arbitrary relaxation."""

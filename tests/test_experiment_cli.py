@@ -100,6 +100,18 @@ def test_solve_report_divergence_flag(small_cfg):
     assert report["diverged"]
 
 
+@pytest.mark.parametrize("maxit, certified", [(1, False), (50000, True)])
+def test_solve_report_carries_the_estimate_it_marched_at(maxit, certified):
+    # An optimal L is only as good as its estimate, so the report ends with
+    # that estimate; a fixed L has none.
+    cfg = parse_config(f"[mesh]\nn = 4\n[spectral]\nmaxit = {maxit}\n")
+    report = solve_report(cfg, 4)
+    assert list(report)[-1] == "estimate"
+    assert report["estimate"]["converged"] is certified
+    assert report["L"] == report["estimate"]["l_opt"]
+    assert "estimate" not in solve_report(dataclasses.replace(cfg, L=1e-11), 4)
+
+
 def _cli_hash(tmp_path, kind, text, *flags):
     path = _write_cfg(tmp_path, text)
     out = tmp_path / "out"
@@ -307,9 +319,12 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
 
 
 def test_cli_solve_requires_single_mesh(tmp_path, capsys):
+    # The single-mesh rule is checked before anything is written.
     cfg = _write_cfg(tmp_path, "[mesh]\nn = 4 8\n")
-    code = main(["solve", "--config", str(cfg), "--L", "1e-11"])
+    dump = tmp_path / "ops"
+    code = main(["solve", "--config", str(cfg), "--L", "1e-11", "--dump-matrices", str(dump)])
     assert code == 2
+    assert not dump.exists()
     capsys.readouterr()
 
 
@@ -440,6 +455,36 @@ def test_cli_dump_matrices(tmp_path, capsys):
     ddiv = bf.reduced_divdiv(prob.mesh, prob.dofs)
     assert abs(d - ddiv).max() <= 1e-12 * abs(ddiv).max()
     assert (dump / "n4" / "mesh.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, meshes",
+    [
+        (["estimate", "--mesh-n", "4"], [4]),
+        (["solve", "--mesh-n", "4"], [4]),
+        (["sweep", "--mesh-n", "4"], [4]),
+        (["verify"], [4, 8]),
+    ],
+)
+def test_cli_dumps_exactly_the_meshes_it_runs(tmp_path, monkeypatch, capsys, argv, meshes):
+    # main writes the dumps once for every command; the reports are stubbed
+    # and record the meshes they are asked to run.
+    import biotfs.cli
+
+    ran = []
+    check = {"name": "stub", "measured": 0.0, "bound": 1.0, "op": "<=", "passed": True}
+    stubs = {
+        "estimate_report": lambda cfg, mesh_ns: ran.extend(mesh_ns) or {},
+        "solve_report": lambda cfg, n: ran.append(n) or {"diverged": False},
+        "sweep_report": lambda cfg, mesh_ns: ran.extend(mesh_ns) or {"rows": []},
+        "verify_report": lambda cfg: ran.extend([4, 8]) or {"passed": True, "checks": [check]},
+    }
+    for name, stub in stubs.items():
+        monkeypatch.setattr(biotfs.cli, name, stub)
+    dump = tmp_path / "ops"
+    assert main(argv + ["--dump-matrices", str(dump)]) == 0
+    assert ran == meshes
+    assert sorted(p.name for p in dump.iterdir()) == [f"n{n}" for n in meshes]
 
 
 def _count_calls(monkeypatch, module, name):

@@ -60,3 +60,14 @@ def test_child_traced_estimate(tmp_path):
     assert any(span[0] == "spectral.schur_apply" for span in spans)
     notes = [span[4] for span in spans if span[0] == "spectral.estimate_spectrum"]
     assert notes and all(note["power_steps"] >= 1 for note in notes)
+
+
+def test_module_entry_point_prints_a_solve_report(tmp_path):
+    # The benchmark times `python -m biotfs.cli`; run the module that way.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "biotfs.cli", "solve", "--mesh-n", "2", "--L", "1e-11"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["schema"] == "biotfs.solve/1"

@@ -186,6 +186,18 @@ def test_estimate_spectrum_is_deterministic(system16):
     assert bf.estimate_spectrum(system16, tol=1e-8, seed=1) == first
 
 
+def test_inv_m_free_quantities_are_bitwise_free_of_inv_m(params):
+    # mu_max and mu_min come from the unshifted pencil, so l_opt, d_opt,
+    # k_star and beta never add inv_m and subtract it again.
+    derived = set()
+    for inv_m in (0.0, 1e-9, 1.4e-5):
+        material = dataclasses.replace(params, inv_m=inv_m)
+        system = bf.build_problem(8, material, sources=None).system
+        est = bf.estimate_spectrum(system, tol=1e-8, seed=1)
+        derived.add((est.l_opt, est.d_opt, est.k_star, est.beta))
+    assert len(derived) == 1
+
+
 def _reduced_divdiv(problem):
     return bf.reduced_divdiv(problem.mesh, problem.dofs)
 
