@@ -21,6 +21,8 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .assembly import MaterialParams
 from .solver import SolverConfig, TimeGrid
 
@@ -47,8 +49,6 @@ class SweepGrid:
             raise ConfigError(f"sweep count must be at least 2, got {self.count}")
 
     def values(self):
-        import numpy as np
-
         return np.linspace(self.d_min, self.d_max, self.count)
 
 

@@ -142,11 +142,6 @@ def mesh_to_text(mesh: Mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_mesh_text(mesh: Mesh, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(mesh_to_text(mesh))
-
-
 @dataclass(frozen=True)
 class DofMap:
     """Taylor-Hood (vector P2 / scalar P1) degrees of freedom, with the free

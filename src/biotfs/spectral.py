@@ -11,10 +11,15 @@ where mu are those of the unshifted pencil (S0, Mp). Only mu_max and mu_min
 are estimated, so inv_m enters once and exactly. The optimal relaxation
 omega = 2 / (lambda_max + lambda_min) gives the optimal stabilization
 l_opt = 1/omega - inv_m = (mu_max + mu_min)/2 of the splitting scheme. The
-same eigenvalues identify two bulk-type moduli: k_star = alpha^2 / mu_max,
-which also solves an independent div-div/elasticity eigenvalue problem,
+same eigenvalues identify two bulk-type moduli: k_star = alpha^2 / mu_max
 and beta = alpha^2 / mu_min, which exists for inf-sup stable
-discretizations. None of l_opt, k_star and beta depends on inv_m.
+discretizations. None of l_opt, k_star and beta depends on inv_m. The
+nonzero eigenvalues of the projected pencil (B' inv(Mp) B, A) are those of
+(S0, Mp), so it reproduces mu_max and mu_min. The div-div pencil
+(Ddiv, A), whose largest eigenvalue estimate_k_star inverts, does not: for
+Taylor-Hood the divergence of a P2 field is not in the P1 pressure space,
+so alpha^2 times that eigenvalue only bounds mu_max from above (a relative
+gap of 34.5% on the 4x4 mesh).
 
 Both extreme eigenvalues come from one unrestarted Lanczos run with full
 reorthogonalization (Parlett, The Symmetric Eigenvalue Problem, 1998) on
@@ -33,7 +38,6 @@ converged only when every residual is within the requested tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -117,15 +121,6 @@ class SpectralEstimates:
         )
 
 
-class Pencil(NamedTuple):
-    """Symmetric pencil (K, M) as plain products: K(x) = K x, M the positive
-    definite matrix itself, Minv(x) = inv(M) x."""
-
-    K: Callable
-    M: Any
-    Minv: Callable
-
-
 def schur_apply(system: BiotSystem, p: np.ndarray, *, shift: bool = True) -> np.ndarray:
     """Apply S = inv_m*Mp + S0, S0 = B inv(A) B', without forming it;
     shift=False leaves out the inv_m*Mp term and applies S0.
@@ -140,15 +135,17 @@ def schur_apply(system: BiotSystem, p: np.ndarray, *, shift: bool = True) -> np.
     return out
 
 
-def _extreme_eigs(pen: Pencil, which: str, tol: float, maxit: int, seed: int):
-    """Extreme eigenpairs of a pencil by Lanczos with full reorthogonalization.
+def _extreme_eigs(K, M, Minv, which: str, tol: float, maxit: int, seed: int):
+    """Extreme eigenpairs of the symmetric pencil (K, M) by Lanczos with full
+    reorthogonalization.
 
-    which="BE" gives both ends, which="LA" the largest; the order of the
-    pencil is that of M. The M-orthonormal basis grows by one vector per
-    step of one K product, one solve and one product with M; each new
-    vector goes twice through classical Gram-Schmidt against the whole basis
-    in the M inner product, which reads the M-products kept with the basis,
-    so reorthogonalization forms none. After step j a Ritz pair
+    K(x) applies K, M is the positive definite matrix itself and Minv(x)
+    applies inv(M). which="BE" gives both ends, which="LA" the largest; the
+    order of the pencil is that of M. The M-orthonormal basis grows by one
+    vector per step of one K product, one solve and one product with M;
+    each new vector goes twice through classical Gram-Schmidt against the
+    whole basis in the M inner product, which reads the M-products kept with
+    the basis, so reorthogonalization forms none. After step j a Ritz pair
     (theta, y) has the residual estimate |beta_j s_j| / |theta|, with s_j
     the last entry of its eigenvector of the tridiagonal T_j. Once every
     wanted estimate is within tol the explicit certificate is computed, and
@@ -165,17 +162,17 @@ def _extreme_eigs(pen: Pencil, which: str, tol: float, maxit: int, seed: int):
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    size = pen.M.shape[0]
+    size = M.shape[0]
     steps = min(maxit, size)
     pick = [0, -1] if which == "BE" else [-1]
     q = np.random.default_rng(seed).standard_normal(size)
-    Mq = pen.M @ q
+    Mq = M @ q
     norm = np.sqrt(q @ Mq)
     Q, MQ = (q / norm)[None], (Mq / norm)[None]
     alpha, beta = [], []
     failed = np.inf  # worst residual of the last failed certificate
     for j in range(1, steps + 1):
-        r = pen.Minv(pen.K(Q[-1]))
+        r = Minv(K(Q[-1]))
         coef = 0.0
         for _ in range(2):
             c = MQ @ r
@@ -183,15 +180,15 @@ def _extreme_eigs(pen: Pencil, which: str, tol: float, maxit: int, seed: int):
         alpha.append(coef[-1])
         if alpha[0] == 0.0:
             raise EstimationError("the operator K of the pencil vanishes")
-        Mr = pen.M @ r
+        Mr = M @ r
         beta.append(np.sqrt(max(r @ Mr, 0.0)))
         theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
         last = j == steps or beta[-1] == 0.0
         if last or np.all(np.abs(beta[-1] * s[-1, pick]) <= tol * np.abs(theta[pick])):
             values, residuals = theta[pick].tolist(), []
             for lam, v in zip(values, s[:, pick].T @ Q):
-                err = pen.Minv(pen.K(v)) - lam * v
-                residuals.append(m_norm(pen.M, err) / max(abs(lam) * m_norm(pen.M, v), 1e-300))
+                err = Minv(K(v)) - lam * v
+                residuals.append(m_norm(M, err) / max(abs(lam) * m_norm(M, v), 1e-300))
             converged = all(res <= tol for res in residuals)
             if converged or last or max(residuals) >= failed:
                 return values, residuals, j, converged
@@ -211,8 +208,8 @@ def estimate_k_star(problem, tol: float = 1e-8, maxit: int = 50000,
     """
     system = problem.system
     ddiv = reduced_divdiv(problem.mesh, problem.dofs)
-    pen = Pencil(ddiv.__matmul__, system.A, system.a_solve)
-    (value,), (residual,), _, converged = _extreme_eigs(pen, "LA", tol, maxit, seed)
+    (value,), (residual,), _, converged = _extreme_eigs(
+        ddiv.__matmul__, system.A, system.a_solve, "LA", tol, maxit, seed)
     if value <= 0.0:
         raise EstimationError(
             "div-div form vanishes on the displacement space; "
@@ -243,8 +240,9 @@ def estimate_spectrum(system: BiotSystem, tol: float = 1e-8,
     reported residuals are those on (S, Mp): the same residual vector,
     relative to |mu + inv_m| instead of |mu|.
     """
-    pen = Pencil(lambda p: schur_apply(system, p, shift=False), system.Mp, system.m_solve)
-    (mu_min, mu_max), residuals, steps, converged = _extreme_eigs(pen, "BE", tol, maxit, seed)
+    (mu_min, mu_max), residuals, steps, converged = _extreme_eigs(
+        lambda p: schur_apply(system, p, shift=False), system.Mp, system.m_solve,
+        "BE", tol, maxit, seed)
     inv_m = system.params.inv_m
     res_min, res_max = (res * (abs(mu) / max(abs(mu + inv_m), 1e-300))
                         for res, mu in zip(residuals, (mu_min, mu_max)))

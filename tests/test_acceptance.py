@@ -18,6 +18,7 @@ import pytest
 import biotfs as bf
 from biotfs.config import default_config
 from biotfs.experiment import sweep_report
+from biotfs.solver import fixed_stress_step, richardson_step, schur_rhs
 
 SEED = 1
 
@@ -36,14 +37,14 @@ def test_criterion_1_richardson_equivalence(problem8, params):
     system, f, g = problem8.system, problem8.f, problem8.g
     L = params.alpha**2 / params.drained_bulk_modulus
     omega = 1.0 / (L + params.inv_m)
-    gt = bf.schur_rhs(system, f, g)
+    gt = schur_rhs(system, f, g)
     p_fs = np.zeros(system.n_p)
     u_fs = system.a_solve(f + system.B.T @ p_fs)
     p_ri = p_fs.copy()
     worst = 0.0
     for _ in range(20):
-        u_fs, p_fs = bf.fixed_stress_step(system, f, g, u_fs, p_fs, L)
-        p_ri = bf.richardson_step(system, p_ri, omega, g_tilde=gt)
+        u_fs, p_fs = fixed_stress_step(system, f, g, u_fs, p_fs, L)
+        p_ri = richardson_step(system, p_ri, omega, g_tilde=gt)
         worst = max(
             worst,
             float(np.linalg.norm(p_fs - p_ri))
@@ -91,7 +92,7 @@ def test_criterion_3_contraction_bound(problem8, dense_eigen8, params):
     lam_min, lam_max = w[0], w[-1]
     est = bf.optimal_parameters(lam_max, lam_min, params)
     _, p_star = bf.monolithic_solve(system, f, g)
-    gt = bf.schur_rhs(system, f, g)
+    gt = schur_rhs(system, f, g)
     rng = np.random.default_rng(SEED)
     p_scale = bf.m_norm(system.Mp, p_star)
 
@@ -103,7 +104,7 @@ def test_criterion_3_contraction_bound(problem8, dense_eigen8, params):
         p_it = p_star + err
         prev = bf.m_norm(system.Mp, err)
         for _ in range(50):
-            p_it = bf.richardson_step(system, p_it, omega, g_tilde=gt)
+            p_it = richardson_step(system, p_it, omega, g_tilde=gt)
             cur = bf.m_norm(system.Mp, p_it - p_star)
             worst = max(worst, cur / prev - rho)
             prev = cur
@@ -114,7 +115,7 @@ def test_criterion_3_contraction_bound(problem8, dense_eigen8, params):
     p_it = p_star + err
     norms = [bf.m_norm(system.Mp, err)]
     for _ in range(50):
-        p_it = bf.richardson_step(system, p_it, est.omega_opt, g_tilde=gt)
+        p_it = richardson_step(system, p_it, est.omega_opt, g_tilde=gt)
         norms.append(bf.m_norm(system.Mp, p_it - p_star))
     tail = (norms[50] / norms[25]) ** (1.0 / 25.0)
     ok_asym = abs(tail / est.rho_opt - 1.0) <= 0.05
@@ -164,14 +165,14 @@ def test_criterion_5_divergence_threshold(problem8, dense_eigen8, params):
     assert omega > 2.0 / w[-1]
 
     _, p_star = bf.monolithic_solve(system, f, g)
-    gt = bf.schur_rhs(system, f, g)
+    gt = schur_rhs(system, f, g)
     top = v[:, -1]
     p_it = p_star + top * (
         bf.m_norm(system.Mp, p_star) / bf.m_norm(system.Mp, top)
     )
     e0 = bf.m_norm(system.Mp, p_it - p_star)
     for _ in range(10):
-        p_it = bf.richardson_step(system, p_it, omega, g_tilde=gt)
+        p_it = richardson_step(system, p_it, omega, g_tilde=gt)
     e10 = bf.m_norm(system.Mp, p_it - p_star)
     ok = e10 > e0
     assert _report(

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 import biotfs as bf
-from biotfs.assembly import _p2_physical_gradients
+from biotfs.assembly import (
+    BiotSystem,
+    _p2_physical_gradients,
+    assemble_coupling,
+    assemble_divdiv,
+    assemble_elasticity,
+    assemble_pressure_mass,
+    build_system,
+    manufactured_sources,
+    reduced_divdiv,
+)
 from biotfs.elements import TRIANGLE_QUAD_POINTS, TRIANGLE_QUAD_WEIGHTS, p2_gradients
-from biotfs.mesh import Mesh
+from biotfs.mesh import Mesh, build_structured_mesh, build_taylor_hood_dofs
 
 from oracles import (
     divdiv_entry_reference,
@@ -46,9 +56,9 @@ def test_quadrature_rule_exact_to_degree_four():
 
 
 def test_elasticity_rigid_modes(params):
-    mesh = bf.build_structured_mesh(4)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    A = bf.assemble_elasticity(mesh, dofs, params)
+    mesh = build_structured_mesh(4)
+    dofs = build_taylor_hood_dofs(mesh)
+    A = assemble_elasticity(mesh, dofs, params)
     scale = abs(A).max()
     x, y = dofs.node_coords[:, 0], dofs.node_coords[:, 1]
     translation = np.zeros(dofs.num_displacement_dofs)
@@ -62,9 +72,9 @@ def test_elasticity_rigid_modes(params):
 
 def test_elasticity_reference_triangle_vs_quadrature_oracle():
     mesh = reference_triangle_mesh()
-    dofs = bf.build_taylor_hood_dofs(mesh)
+    dofs = build_taylor_hood_dofs(mesh)
     mats = bf.MaterialParams(mu=1.0, lam=0.0)
-    A = bf.assemble_elasticity(mesh, dofs, mats).toarray()
+    A = assemble_elasticity(mesh, dofs, mats).toarray()
     for io, ia in enumerate(REF_PERM):
         for jo, ja in enumerate(REF_PERM):
             for a in range(2):
@@ -75,8 +85,8 @@ def test_elasticity_reference_triangle_vs_quadrature_oracle():
 
 def test_divdiv_reference_triangle_vs_quadrature_oracle():
     mesh = reference_triangle_mesh()
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    D = bf.assemble_divdiv(mesh, dofs).toarray()
+    dofs = build_taylor_hood_dofs(mesh)
+    D = assemble_divdiv(mesh, dofs).toarray()
     for io, ia in enumerate(REF_PERM):
         for jo, ja in enumerate(REF_PERM):
             for a in range(2):
@@ -86,9 +96,9 @@ def test_divdiv_reference_triangle_vs_quadrature_oracle():
 
 
 def test_divdiv_translation_and_linear_field(params):
-    mesh = bf.build_structured_mesh(3)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    D = bf.assemble_divdiv(mesh, dofs)
+    mesh = build_structured_mesh(3)
+    dofs = build_taylor_hood_dofs(mesh)
+    D = assemble_divdiv(mesh, dofs)
     translation = np.zeros(dofs.num_displacement_dofs)
     translation[1::2] = 1.0
     assert abs(translation @ (D @ translation)) <= 1e-13 * abs(D).max()
@@ -99,19 +109,19 @@ def test_divdiv_translation_and_linear_field(params):
 
 
 def test_coupling_zero_alpha():
-    mesh = bf.build_structured_mesh(3)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    B = bf.assemble_coupling(mesh, dofs, alpha=0.0)
+    mesh = build_structured_mesh(3)
+    dofs = build_taylor_hood_dofs(mesh)
+    B = assemble_coupling(mesh, dofs, alpha=0.0)
     assert B.nnz == 0 or abs(B).max() == 0.0
 
 
 def test_coupling_partition_of_unity_row_sums(params):
     # With u = (x, y) the divergence is 2, so B u must equal
     # 2 * alpha * (mass matrix applied to the all-ones vector).
-    mesh = bf.build_structured_mesh(4)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    B = bf.assemble_coupling(mesh, dofs, params.alpha)
-    Mp = bf.assemble_pressure_mass(mesh, dofs)
+    mesh = build_structured_mesh(4)
+    dofs = build_taylor_hood_dofs(mesh)
+    B = assemble_coupling(mesh, dofs, params.alpha)
+    Mp = assemble_pressure_mass(mesh, dofs)
     u = np.empty(dofs.num_displacement_dofs)
     u[0::2] = dofs.node_coords[:, 0]
     u[1::2] = dofs.node_coords[:, 1]
@@ -120,9 +130,9 @@ def test_coupling_partition_of_unity_row_sums(params):
 
 
 def test_coupling_adjoint_identity():
-    mesh = bf.build_structured_mesh(3)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    B = bf.assemble_coupling(mesh, dofs, alpha=1.0)
+    mesh = build_structured_mesh(3)
+    dofs = build_taylor_hood_dofs(mesh)
+    B = assemble_coupling(mesh, dofs, alpha=1.0)
     rng = np.random.default_rng(3)
     for _ in range(100):
         u = rng.standard_normal(dofs.num_displacement_dofs)
@@ -133,34 +143,34 @@ def test_coupling_adjoint_identity():
 
 
 def test_pressure_mass_total_and_closed_form():
-    mesh = bf.build_structured_mesh(5)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    Mp = bf.assemble_pressure_mass(mesh, dofs)
+    mesh = build_structured_mesh(5)
+    dofs = build_taylor_hood_dofs(mesh)
+    Mp = assemble_pressure_mass(mesh, dofs)
     assert abs(Mp.sum() - 1.0) <= 1e-14
 
     ref = reference_triangle_mesh()
-    ref_dofs = bf.build_taylor_hood_dofs(ref)
-    local = bf.assemble_pressure_mass(ref, ref_dofs).toarray()
+    ref_dofs = build_taylor_hood_dofs(ref)
+    local = assemble_pressure_mass(ref, ref_dofs).toarray()
     area = 0.5
     closed = area / 12.0 * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
     assert np.abs(local - closed).max() <= 1e-15
 
 
 def test_pressure_mass_spd_dense_oracle():
-    mesh = bf.build_structured_mesh(4)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    Mp = bf.assemble_pressure_mass(mesh, dofs).toarray()
+    mesh = build_structured_mesh(4)
+    dofs = build_taylor_hood_dofs(mesh)
+    Mp = assemble_pressure_mass(mesh, dofs).toarray()
     w = np.linalg.eigvalsh(Mp)
     assert w.min() > 0.0
 
 
 def test_assembled_matrices_symmetric(params):
-    mesh = bf.build_structured_mesh(4)
-    dofs = bf.build_taylor_hood_dofs(mesh)
+    mesh = build_structured_mesh(4)
+    dofs = build_taylor_hood_dofs(mesh)
     for mat in (
-        bf.assemble_elasticity(mesh, dofs, params),
-        bf.assemble_pressure_mass(mesh, dofs),
-        bf.assemble_divdiv(mesh, dofs),
+        assemble_elasticity(mesh, dofs, params),
+        assemble_pressure_mass(mesh, dofs),
+        assemble_divdiv(mesh, dofs),
     ):
         asym = abs(mat - mat.T).max()
         assert asym <= 1e-14 * abs(mat).max()
@@ -169,13 +179,13 @@ def test_assembled_matrices_symmetric(params):
 def test_assembled_matrices_canonical(params):
     # The scatter relies on scipy's COO to CSR conversion to sum duplicate
     # entries and sort the column indices of every row.
-    mesh = bf.build_structured_mesh(3)
-    dofs = bf.build_taylor_hood_dofs(mesh)
+    mesh = build_structured_mesh(3)
+    dofs = build_taylor_hood_dofs(mesh)
     for mat in (
-        bf.assemble_elasticity(mesh, dofs, params),
-        bf.assemble_coupling(mesh, dofs, params.alpha),
-        bf.assemble_pressure_mass(mesh, dofs),
-        bf.assemble_divdiv(mesh, dofs),
+        assemble_elasticity(mesh, dofs, params),
+        assemble_coupling(mesh, dofs, params.alpha),
+        assemble_pressure_mass(mesh, dofs),
+        assemble_divdiv(mesh, dofs),
     ):
         assert mat.format == "csr"
         assert mat.has_canonical_format
@@ -186,10 +196,10 @@ def test_assembled_matrices_canonical(params):
 
 def test_physical_bulk_modulus_inequality(params):
     # 2*mu*||eps||^2 + lam*||div||^2 >= (2*mu/dim + lam)*||div||^2
-    mesh = bf.build_structured_mesh(4)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    A = bf.assemble_elasticity(mesh, dofs, params)
-    D = bf.assemble_divdiv(mesh, dofs)
+    mesh = build_structured_mesh(4)
+    dofs = build_taylor_hood_dofs(mesh)
+    A = assemble_elasticity(mesh, dofs, params)
+    D = assemble_divdiv(mesh, dofs)
     k_dr = params.drained_bulk_modulus
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -204,9 +214,9 @@ def test_interior_stencil_translation_invariance(params):
     # constant is resolution independent (2D stiffness is scale invariant).
     diag_values = []
     for n in (4, 8):
-        mesh = bf.build_structured_mesh(n)
-        dofs = bf.build_taylor_hood_dofs(mesh)
-        A = bf.assemble_elasticity(mesh, dofs, params)
+        mesh = build_structured_mesh(n)
+        dofs = build_taylor_hood_dofs(mesh)
+        A = assemble_elasticity(mesh, dofs, params)
         diag = A.diagonal()
         x, y = dofs.node_coords[:, 0], dofs.node_coords[:, 1]
         interior_vertex = (
@@ -224,33 +234,33 @@ def test_degenerate_triangle_rejected(params):
     triangles = np.array([[0, 1, 2]])
     edges = np.array([[0, 1], [0, 2], [1, 2]])
     mesh = Mesh(n=1, vertices=vertices, triangles=triangles, edges=edges)
-    dofs = bf.build_taylor_hood_dofs(mesh)
+    dofs = build_taylor_hood_dofs(mesh)
     with pytest.raises(ValueError):
-        bf.assemble_elasticity(mesh, dofs, params)
+        assemble_elasticity(mesh, dofs, params)
 
 
 def test_boundary_reduction_dimensions(params):
-    mesh = bf.build_structured_mesh(2)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    system = bf.build_system(mesh, dofs, params)
+    mesh = build_structured_mesh(2)
+    dofs = build_taylor_hood_dofs(mesh)
+    system = build_system(mesh, dofs, params)
     assert system.n_p == 1
     assert system.B.shape == (system.n_p, system.n_u)
 
 
 def test_reduced_elasticity_spd_cholesky_oracle(params):
-    mesh = bf.build_structured_mesh(4)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    system = bf.build_system(mesh, dofs, params)
+    mesh = build_structured_mesh(4)
+    dofs = build_taylor_hood_dofs(mesh)
+    system = build_system(mesh, dofs, params)
     np.linalg.cholesky(system.A.toarray())  # raises if not SPD
 
 
 def test_reduction_matches_full_solve_with_identity_rows(params):
     # For zero boundary data, eliminating rows/columns and replacing them
     # with identity rows give the same free-dof solution.
-    mesh = bf.build_structured_mesh(3)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    A_full = bf.assemble_elasticity(mesh, dofs, params).toarray()
-    body, _ = bf.manufactured_sources()
+    mesh = build_structured_mesh(3)
+    dofs = build_taylor_hood_dofs(mesh)
+    A_full = assemble_elasticity(mesh, dofs, params).toarray()
+    body, _ = manufactured_sources()
     f_full = bf.assemble_momentum_load(mesh, dofs, body, t=1.0)
     free = dofs.free_u
     fixed = np.setdiff1d(np.arange(dofs.num_displacement_dofs), free)
@@ -266,10 +276,10 @@ def test_reduction_matches_full_solve_with_identity_rows(params):
 
 
 def test_apply_boundary_conditions_rejects_single_cell(params):
-    mesh = bf.build_structured_mesh(1)
-    dofs = bf.build_taylor_hood_dofs(mesh)
+    mesh = build_structured_mesh(1)
+    dofs = build_taylor_hood_dofs(mesh)
     with pytest.raises(ValueError):
-        bf.build_system(mesh, dofs, params)
+        build_system(mesh, dofs, params)
 
 
 def test_flow_rhs_zero_case(params):
@@ -317,12 +327,12 @@ def test_flow_rhs_constant_divergence(params):
     # u = (x, 0) interpolates exactly, div u = 1: the coupling term of the
     # flow load equals alpha times the mass-matrix row sums on the interior
     # dofs. u is nonzero on Dirichlet dofs, so the full B applies it.
-    mesh = bf.build_structured_mesh(4)
-    dofs = bf.build_taylor_hood_dofs(mesh)
+    mesh = build_structured_mesh(4)
+    dofs = build_taylor_hood_dofs(mesh)
     u = np.zeros(dofs.num_displacement_dofs)
     u[0::2] = dofs.node_coords[:, 0]
-    g = (bf.assemble_coupling(mesh, dofs, params.alpha) @ u)[dofs.free_p]
-    Mp = bf.assemble_pressure_mass(mesh, dofs)
+    g = (assemble_coupling(mesh, dofs, params.alpha) @ u)[dofs.free_p]
+    Mp = assemble_pressure_mass(mesh, dofs)
     expected = params.alpha * (Mp @ np.ones(dofs.num_pressure_dofs))[dofs.free_p]
     assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -344,7 +354,7 @@ def test_flow_rhs_matches_reduced_fast_path(params):
     u_full[dofs.free_u] = u_red
     t, tau = 0.3, 0.1
     _, g = bf.step_loads(problem, t, tau, u_red, np.zeros(system.n_p))
-    B_full = bf.assemble_coupling(mesh, dofs, params.alpha)
+    B_full = assemble_coupling(mesh, dofs, params.alpha)
     moment = bf.assemble_source_moment(mesh, dofs, problem.fluid_source, t)
     reference = (B_full @ u_full + tau * moment)[dofs.free_p]
     assert np.abs(g - reference).max() <= 1e-13 * max(np.abs(reference).max(), 1.0)
@@ -354,8 +364,8 @@ def test_momentum_load_vs_per_triangle_quadrature_oracle():
     # n=3: h = 1/3 is not exact in binary. The two components differ, so a
     # swapped x/y interleave fails. Quadratic forces keep every integrand
     # within the degree-4 rule.
-    mesh = bf.build_structured_mesh(3)
-    dofs = bf.build_taylor_hood_dofs(mesh)
+    mesh = build_structured_mesh(3)
+    dofs = build_taylor_hood_dofs(mesh)
 
     def force(x, y, t):
         return t * (1.0 + x * y - y * y), t * (2.0 - x + 3.0 * x * x)
@@ -378,7 +388,7 @@ def test_momentum_load_vs_per_triangle_quadrature_oracle():
 
 
 def test_p2_physical_gradients_vs_per_element_product():
-    mesh = bf.build_structured_mesh(3)
+    mesh = build_structured_mesh(3)
     pg, det = _p2_physical_gradients(mesh)
     ref = p2_gradients(TRIANGLE_QUAD_POINTS)
     expected = np.empty_like(pg)
@@ -393,7 +403,7 @@ def test_p2_physical_gradients_vs_per_element_product():
 
 
 def test_manufactured_sources_profile():
-    body, fluid = bf.manufactured_sources()
+    body, fluid = manufactured_sources()
     y = np.linspace(0.0, 1.0, 7)
     assert np.all(fluid(np.zeros_like(y), y, 2.0) == 0.0)
     # closed-form values at the center
@@ -434,13 +444,13 @@ def test_copy_with_new_matrix_solves_with_its_own_factor(problem4, block, solve)
 def test_system_holds_only_what_the_solves_read():
     # The three operators of the pencil and the material; no loads, no
     # Ddiv, no free-dof sets and no cache field.
-    names = {f.name for f in dataclasses.fields(bf.BiotSystem)}
+    names = {f.name for f in dataclasses.fields(BiotSystem)}
     assert names == {"A", "B", "Mp", "params"}
 
 
 def test_reduced_divdiv_matches_full_operator():
-    mesh = bf.build_structured_mesh(4)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    D = bf.assemble_divdiv(mesh, dofs).toarray()
+    mesh = build_structured_mesh(4)
+    dofs = build_taylor_hood_dofs(mesh)
+    D = assemble_divdiv(mesh, dofs).toarray()
     free = dofs.free_u
-    assert np.array_equal(bf.reduced_divdiv(mesh, dofs).toarray(), D[np.ix_(free, free)])
+    assert np.array_equal(reduced_divdiv(mesh, dofs).toarray(), D[np.ix_(free, free)])

@@ -1,13 +1,15 @@
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import biotfs as bf
-from biotfs.config import ConfigError, canonical_text, parse_config
+from biotfs.config import ConfigError, canonical_text, config_hash, load_config, parse_config
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # A configuration whose values all differ from the defaults.
 NON_DEFAULT = """
@@ -120,24 +122,24 @@ def test_zero_sources_option():
 
 def test_hash_deterministic_and_sensitive():
     base = bf.default_config()
-    assert bf.config_hash(base) == bf.config_hash(bf.default_config())
+    assert config_hash(base) == config_hash(bf.default_config())
     changed = parse_config("[material]\nmu = 1e9\n")
-    assert bf.config_hash(base) != bf.config_hash(changed)
+    assert config_hash(base) != config_hash(changed)
     text = canonical_text(base)
     assert "material.mu=41667000000.0" in text
     # The default configuration's provenance hash is stable across releases.
-    assert bf.config_hash(base) == (
+    assert config_hash(base) == (
         "7d42932b5a48fe4309c3a32b3740a5339bcafce3832e4bf7ebb0325de00df4cd"
     )
 
 
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
-        bf.load_config(tmp_path / "absent.ini")
+        load_config(tmp_path / "absent.ini")
 
 
 def test_non_default_hash_is_stable():
-    assert bf.config_hash(parse_config(NON_DEFAULT)) == (
+    assert config_hash(parse_config(NON_DEFAULT)) == (
         "81c8ae47a101137c170b4d6c1deacde84eddad3c54fedf56a0dd1daf3b88fee5"
     )
 
@@ -169,7 +171,7 @@ def test_non_default_hash_is_stable():
 )
 def test_every_key_reaches_the_hash(section, key, value):
     changed = parse_config(f"[{section}]\n{key} = {value}\n")
-    assert bf.config_hash(changed) != bf.config_hash(bf.default_config())
+    assert config_hash(changed) != config_hash(bf.default_config())
 
 
 @pytest.mark.parametrize(
@@ -207,3 +209,22 @@ def test_readme_library_example_runs(capsys):
     out = capsys.readouterr().out
     assert "first step iterations:" in out
     assert "n,h,D,L,avg_iterations,diverged\n4," in out
+
+
+def test_public_surface_is_what_readme_and_perfbench_read():
+    # Every bf.X / biotfs.X the README or perfbench reads must resolve, and
+    # the package exports nothing else but the errors those functions raise.
+    import biotfs.cli  # noqa: F401  (binds every submodule on the package)
+
+    sources = [README] + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set()
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        # (?!/) skips schema names such as biotfs.solve/1.
+        read |= set(re.findall(r"\b(?:bf|biotfs)\.([A-Za-z_]\w*)\b(?!/)", text))
+    missing = sorted(name for name in read if not hasattr(bf, name))
+    assert missing == []
+    exported = {name for name, value in vars(bf).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    errors = {"ConvergenceError", "FactorizationError", "EstimationError"}
+    assert exported - read == errors

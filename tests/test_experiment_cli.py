@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import biotfs as bf
+from biotfs.assembly import reduced_divdiv
 from biotfs.cli import build_parser, main
-from biotfs.config import parse_config
+from biotfs.config import SweepGrid, config_hash, parse_config
 from biotfs.experiment import (
     estimate_report,
     solve_report,
@@ -17,6 +18,7 @@ from biotfs.experiment import (
     sweep_report,
     verify_report,
 )
+from biotfs.linalg import load_matrix_market
 
 SMALL_CFG = """
 [mesh]
@@ -68,13 +70,13 @@ def test_estimate_coarse_close_to_fine(small_cfg):
 def test_estimate_degenerate_spectrum_reports_zero_rho(params):
     # A proportional pencil has a flat spectrum, so the contraction factor
     # at the optimum is zero.
-    from biotfs.spectral import Pencil, _extreme_eigs
+    from biotfs.spectral import _extreme_eigs
 
     rng = np.random.default_rng(23)
     a = rng.standard_normal((6, 6))
     M = a @ a.T + 6 * np.eye(6)
-    pen = Pencil((2.0 * M).__matmul__, M, lambda x: np.linalg.solve(M, x))
-    (low, high), _, _, _ = _extreme_eigs(pen, "BE", 1e-12, 100, 0)
+    (low, high), _, _, _ = _extreme_eigs(
+        (2.0 * M).__matmul__, M, lambda x: np.linalg.solve(M, x), "BE", 1e-12, 100, 0)
     est = bf.optimal_parameters(high, max(low, 1e-300), params)
     assert est.rho_opt <= 1e-10
 
@@ -131,14 +133,14 @@ def test_config_hash_covers_seed_and_mode_overrides(tmp_path, kind):
     seed7 = parse_config(SMALL_CFG + "seed = 7\n")
     coarse = parse_config(SMALL_CFG + "mode = coarse\n")
     default = _cli_hash(tmp_path, kind, SMALL_CFG)
-    assert default == bf.config_hash(parse_config(SMALL_CFG))
-    assert _cli_hash(tmp_path, kind, SMALL_CFG, "--seed", "7") == bf.config_hash(seed7) != default
+    assert default == config_hash(parse_config(SMALL_CFG))
+    assert _cli_hash(tmp_path, kind, SMALL_CFG, "--seed", "7") == config_hash(seed7) != default
     assert _cli_hash(tmp_path, kind, SMALL_CFG, "--seed", "1") == default
     by_mode = _cli_hash(tmp_path, kind, SMALL_CFG, "--mode", "coarse")
-    assert by_mode == bf.config_hash(coarse) != default
+    assert by_mode == config_hash(coarse) != default
     # --mode drops an explicit tol back to the mode's default.
     explicit_tol = SMALL_CFG + "tol = 1e-5\n"
-    assert _cli_hash(tmp_path, kind, explicit_tol, "--mode", "coarse") == bf.config_hash(coarse)
+    assert _cli_hash(tmp_path, kind, explicit_tol, "--mode", "coarse") == config_hash(coarse)
 
 
 def test_cli_solve_hash_covers_L(tmp_path):
@@ -160,7 +162,7 @@ def test_sweep_rows_and_invariants(small_cfg):
 
 def test_sweep_two_rows_csv(small_cfg):
     cfg = dataclasses.replace(
-        small_cfg, sweep=bf.SweepGrid(d_min=1.0e11, d_max=1.3e11, count=2)
+        small_cfg, sweep=SweepGrid(d_min=1.0e11, d_max=1.3e11, count=2)
     )
     report = sweep_report(cfg)
     lines = sweep_csv(report).strip().splitlines()
@@ -178,7 +180,7 @@ def test_sweep_rows_sorted_across_meshes(small_cfg):
     cfg = dataclasses.replace(
         small_cfg,
         mesh_ns=(4, 2),
-        sweep=bf.SweepGrid(d_min=1.0e11, d_max=1.3e11, count=2),
+        sweep=SweepGrid(d_min=1.0e11, d_max=1.3e11, count=2),
     )
     report = sweep_report(cfg)
     keys = [(r["n"], r["D"]) for r in report["rows"]]
@@ -192,7 +194,7 @@ def test_sweep_counts_rise_past_the_optimum(small_cfg, params):
     cfg = dataclasses.replace(
         small_cfg,
         mesh_ns=(8,),
-        sweep=bf.SweepGrid(d_min=d_opt_guess, d_max=d_opt_guess + 2.0e10, count=6),
+        sweep=SweepGrid(d_min=d_opt_guess, d_max=d_opt_guess + 2.0e10, count=6),
     )
     report = sweep_report(cfg)
     counts = [r["avg_iterations"] for r in report["rows"]]
@@ -262,7 +264,7 @@ def test_verify_hash_covers_only_what_the_battery_reads(text, read):
     # Keys the battery never reads change neither its checks nor its hash.
     report = verify_report(parse_config(text))
     reference = verify_report(parse_config(read))
-    assert report["config_hash"] == bf.config_hash(parse_config(read))
+    assert report["config_hash"] == config_hash(parse_config(read))
     assert report == reference
 
 
@@ -448,11 +450,11 @@ def test_cli_dump_matrices(tmp_path, capsys):
          "--out", str(tmp_path / "est.json")]
     )
     assert code == 0
-    a = bf.load_matrix_market(dump / "n4" / "A.mtx")
+    a = load_matrix_market(dump / "n4" / "A.mtx")
     prob = bf.build_problem(4, parse_config(SMALL_CFG).material, sources=None)
     assert abs(a - prob.system.A).max() <= 1e-12 * abs(prob.system.A).max()
-    d = bf.load_matrix_market(dump / "n4" / "Ddiv.mtx")
-    ddiv = bf.reduced_divdiv(prob.mesh, prob.dofs)
+    d = load_matrix_market(dump / "n4" / "Ddiv.mtx")
+    ddiv = reduced_divdiv(prob.mesh, prob.dofs)
     assert abs(d - ddiv).max() <= 1e-12 * abs(ddiv).max()
     assert (dump / "n4" / "mesh.txt").exists()
 

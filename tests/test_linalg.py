@@ -5,35 +5,37 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import biotfs as bf
-from biotfs.linalg import FactorizationError
+from biotfs.assembly import build_system
+from biotfs.linalg import FactorizationError, factorize, load_matrix_market, save_matrix_market
+from biotfs.mesh import build_structured_mesh, build_taylor_hood_dofs
 
 
 def test_factorize_identity_and_diagonal():
-    F = bf.factorize(sp.identity(5, format="csr"))
+    F = factorize(sp.identity(5, format="csr"))
     b = np.arange(5.0)
     assert np.abs(F.solve(b) - b).max() <= 1e-15
     d = np.array([2.0, 4.0, 8.0])
-    F = bf.factorize(sp.csr_matrix(np.diag(d)))
+    F = factorize(sp.csr_matrix(np.diag(d)))
     assert np.abs(F.solve(np.ones(3)) - 1.0 / d).max() <= 1e-15
 
 
 def test_factorize_vs_cg(params):
-    mesh = bf.build_structured_mesh(4)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    system = bf.build_system(mesh, dofs, params)
+    mesh = build_structured_mesh(4)
+    dofs = build_taylor_hood_dofs(mesh)
+    system = build_system(mesh, dofs, params)
     rng = np.random.default_rng(4)
     b = rng.standard_normal(system.n_u)
-    x_f = bf.factorize(system.A).solve(b)
+    x_f = factorize(system.A).solve(b)
     x_cg, info = spla.cg(system.A, b, rtol=1e-13, atol=0.0, maxiter=10 * system.n_u)
     assert info == 0
     assert np.abs(x_f - x_cg).max() <= 1e-9 * np.abs(x_f).max()
 
 
 def test_factorize_solve_inverse_property(params):
-    mesh = bf.build_structured_mesh(3)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    system = bf.build_system(mesh, dofs, params)
-    F = bf.factorize(system.A)
+    mesh = build_structured_mesh(3)
+    dofs = build_taylor_hood_dofs(mesh)
+    system = build_system(mesh, dofs, params)
+    F = factorize(system.A)
     rng = np.random.default_rng(6)
     for _ in range(5):
         x = rng.standard_normal(system.n_u)
@@ -44,13 +46,13 @@ def test_factorize_solve_inverse_property(params):
 def test_factorize_rejects_non_spd():
     asym = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(FactorizationError):
-        bf.factorize(asym)
+        factorize(asym)
     negdiag = sp.csr_matrix(np.array([[-1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(FactorizationError):
-        bf.factorize(negdiag)
+        factorize(negdiag)
     singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(FactorizationError):
-        bf.factorize(singular)
+        factorize(singular)
 
 
 def test_dense_eigen_diag_fixture():
@@ -117,12 +119,12 @@ def test_m_norm_cases():
 
 
 def test_matrix_market_round_trip(tmp_path, params):
-    mesh = bf.build_structured_mesh(3)
-    dofs = bf.build_taylor_hood_dofs(mesh)
-    system = bf.build_system(mesh, dofs, params)
+    mesh = build_structured_mesh(3)
+    dofs = build_taylor_hood_dofs(mesh)
+    system = build_system(mesh, dofs, params)
     path = tmp_path / "A.mtx"
-    bf.save_matrix_market(path, system.A)
-    back = bf.load_matrix_market(path)
+    save_matrix_market(path, system.A)
+    back = load_matrix_market(path)
     assert back.shape == system.A.shape
     assert abs(back - system.A).max() <= 1e-12 * abs(system.A).max()
 
@@ -131,7 +133,7 @@ def test_factorize_fill_at_n16(params):
     # SuperLU's default COLAMD ordering leaves 187,432 nonzeros in L+U
     # here; minimum degree on A + A' leaves 142,848.
     A = bf.build_problem(16, params, sources=None).system.A
-    F = bf.factorize(A)
+    F = factorize(A)
     assert F._lu.L.nnz + F._lu.U.nnz <= 150_000
     b = np.random.default_rng(16).standard_normal(A.shape[0])
     x = F.solve(b)
@@ -142,7 +144,7 @@ def test_factorize_fill_at_n16(params):
 def test_factor_solve_transposed_sweep_matches_plain_sweep(problem8, block):
     # Factorization.solve runs SuperLU's transposed sweep; for the
     # symmetric factors it must agree with the plain sweep.
-    factor = bf.factorize(getattr(problem8.system, block))
+    factor = factorize(getattr(problem8.system, block))
     rng = np.random.default_rng(8)
     for b in (rng.standard_normal(factor.shape[0]), rng.standard_normal((factor.shape[0], 3))):
         x = factor.solve(b)

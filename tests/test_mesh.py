@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-import biotfs as bf
+from biotfs.mesh import build_structured_mesh, build_taylor_hood_dofs, mesh_to_text
 
 
 def test_smallest_mesh_counts():
-    m = bf.build_structured_mesh(1)
+    m = build_structured_mesh(1)
     assert m.num_triangles == 2
     assert m.num_vertices == 4
     assert m.num_edges == 5
 
 
 def test_n2_counts_euler_formula():
-    m = bf.build_structured_mesh(2)
+    m = build_structured_mesh(2)
     assert m.num_triangles == 8
     assert m.num_vertices == 9
     assert m.num_edges == 16
@@ -24,7 +24,7 @@ def test_counting_formulas_n16():
     # Independent combinatorial enumeration: n*(n+1) horizontal edges,
     # n*(n+1) vertical, n*n diagonals.
     n = 16
-    m = bf.build_structured_mesh(n)
+    m = build_structured_mesh(n)
     assert m.num_triangles == 2 * n * n == 512
     assert m.num_vertices == (n + 1) ** 2 == 289
     assert m.num_edges == 2 * n * (n + 1) + n * n
@@ -32,25 +32,25 @@ def test_counting_formulas_n16():
 
 def test_rejects_zero_subdivisions():
     with pytest.raises(ValueError):
-        bf.build_structured_mesh(0)
+        build_structured_mesh(0)
 
 
 def test_positive_areas_and_total():
-    m = bf.build_structured_mesh(7)
+    m = build_structured_mesh(7)
     areas = 0.5 * m.geometry[2]
     assert np.all(areas > 0)
     assert abs(areas.sum() - 1.0) <= 1e-14
 
 
 def test_vertices_inside_unit_square_lexicographic():
-    m = bf.build_structured_mesh(5)
+    m = build_structured_mesh(5)
     assert m.vertices.min() >= 0.0 and m.vertices.max() <= 1.0
     order = np.lexsort((m.vertices[:, 0], m.vertices[:, 1]))
     assert np.array_equal(order, np.arange(m.num_vertices))
 
 
 def test_edge_triangle_incidence():
-    m = bf.build_structured_mesh(4)
+    m = build_structured_mesh(4)
     counts = {}
     for tri in m.triangles:
         for a, b in ((0, 1), (1, 2), (2, 0)):
@@ -68,7 +68,7 @@ def test_edges_lexicographic_and_equal_to_row_unique(n):
     # build_taylor_hood_dofs maps triangle edges to midpoints by a
     # searchsorted on the edge table, which needs strictly increasing
     # lexicographic order, not only the right set.
-    m = bf.build_structured_mesh(n)
+    m = build_structured_mesh(n)
     raw = np.vstack([m.triangles[:, [a, b]] for a, b in ((0, 1), (1, 2), (2, 0))])
     raw.sort(axis=1)
     assert np.array_equal(m.edges, np.unique(raw, axis=0))
@@ -81,13 +81,13 @@ def test_edges_lexicographic_and_equal_to_row_unique(n):
 
 
 def test_bit_determinism():
-    m1 = bf.build_structured_mesh(6)
-    m2 = bf.build_structured_mesh(6)
+    m1 = build_structured_mesh(6)
+    m2 = build_structured_mesh(6)
     assert np.array_equal(m1.vertices, m2.vertices)
     assert np.array_equal(m1.triangles, m2.triangles)
     assert np.array_equal(m1.edges, m2.edges)
-    d1 = bf.build_taylor_hood_dofs(m1)
-    d2 = bf.build_taylor_hood_dofs(m2)
+    d1 = build_taylor_hood_dofs(m1)
+    d2 = build_taylor_hood_dofs(m2)
     assert np.array_equal(d1.node_coords, d2.node_coords)
     assert np.array_equal(d1.tri_nodes, d2.tri_nodes)
     assert np.array_equal(d1.free_u, d2.free_u)
@@ -95,8 +95,8 @@ def test_bit_determinism():
 
 
 def test_mesh_text_dump_round_trip():
-    m = bf.build_structured_mesh(2)
-    text = bf.mesh_to_text(m)
+    m = build_structured_mesh(2)
+    text = mesh_to_text(m)
     verts, tris = [], []
     for line in text.strip().splitlines():
         kind, *rest = line.split()
@@ -109,13 +109,13 @@ def test_mesh_text_dump_round_trip():
 
 
 def test_dof_counts_n1():
-    d = bf.build_taylor_hood_dofs(bf.build_structured_mesh(1))
+    d = build_taylor_hood_dofs(build_structured_mesh(1))
     assert d.num_displacement_dofs == 18
     assert d.num_pressure_dofs == 4
 
 
 def test_dof_counts_n2_interior_pressure():
-    d = bf.build_taylor_hood_dofs(bf.build_structured_mesh(2))
+    d = build_taylor_hood_dofs(build_structured_mesh(2))
     assert d.num_displacement_dofs == 50
     assert d.num_pressure_dofs == 9
     assert d.free_p.size == 1
@@ -125,8 +125,8 @@ def test_dof_counts_n2_interior_pressure():
 
 def test_dof_count_formula():
     for n in (3, 5):
-        m = bf.build_structured_mesh(n)
-        d = bf.build_taylor_hood_dofs(m)
+        m = build_structured_mesh(n)
+        d = build_taylor_hood_dofs(m)
         assert d.num_displacement_dofs == 2 * (m.num_vertices + m.num_edges)
         assert d.num_pressure_dofs == (n + 1) ** 2
 
@@ -134,7 +134,7 @@ def test_dof_count_formula():
 def test_top_edge_neumann_both_components():
     # brute-force scan of every node coordinate; both components of a node
     # are kept or eliminated together
-    d = bf.build_taylor_hood_dofs(bf.build_structured_mesh(4))
+    d = build_taylor_hood_dofs(build_structured_mesh(4))
     free = set(d.free_u.tolist())
     expected = []
     for k, (x, y) in enumerate(d.node_coords):
@@ -148,7 +148,7 @@ def test_top_edge_neumann_both_components():
 
 
 def test_top_corners_are_dirichlet():
-    d = bf.build_taylor_hood_dofs(bf.build_structured_mesh(4))
+    d = build_taylor_hood_dofs(build_structured_mesh(4))
     for corner in ([0.0, 1.0], [1.0, 1.0]):
         (idx,) = np.where((d.node_coords == corner).all(axis=1))
         assert 2 * idx[0] not in d.free_u
@@ -156,7 +156,7 @@ def test_top_corners_are_dirichlet():
 
 
 def test_tag_partition_exhaustive_disjoint():
-    d = bf.build_taylor_hood_dofs(bf.build_structured_mesh(3))
+    d = build_taylor_hood_dofs(build_structured_mesh(3))
     # free dofs are distinct, ascending and in range
     for free, size in ((d.free_u, d.num_displacement_dofs), (d.free_p, d.num_pressure_dofs)):
         assert np.all(np.diff(free) > 0)
@@ -169,7 +169,7 @@ def test_tag_partition_exhaustive_disjoint():
 
 
 def test_free_dofs_are_read_only():
-    d = bf.build_taylor_hood_dofs(bf.build_structured_mesh(3))
+    d = build_taylor_hood_dofs(build_structured_mesh(3))
     for free in (d.free_u, d.free_p):
         with pytest.raises(ValueError):
             free[0] = 0

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import biotfs as bf
+from biotfs.solver import fixed_stress_step, richardson_step, schur_rhs
 from oracles import dense_block_solve, dense_fixed_stress_step
 
 
@@ -38,7 +39,7 @@ def test_time_grid_validation_and_step_count():
 def test_fixed_stress_step_zero_data_fixed_point(params):
     system = bf.build_problem(4, params, sources=None).system
     zu, zp = np.zeros(system.n_u), np.zeros(system.n_p)
-    u, p = bf.fixed_stress_step(system, zu, zp, zu, zp, l_physical(params))
+    u, p = fixed_stress_step(system, zu, zp, zu, zp, l_physical(params))
     assert np.all(u == 0.0)
     assert np.all(p == 0.0)
 
@@ -47,13 +48,13 @@ def test_fixed_stress_step_requires_positive_scale(params):
     system = bf.build_problem(4, params, sources=None).system
     zu, zp = np.zeros(system.n_u), np.zeros(system.n_p)
     with pytest.raises(ValueError):
-        bf.fixed_stress_step(system, zu, zp, zu, zp, 0.0)
+        fixed_stress_step(system, zu, zp, zu, zp, 0.0)
 
 
 def test_fixed_stress_step_at_exact_solution(problem8, params):
     system, f, g = problem8.system, problem8.f, problem8.g
     u_star, p_star = bf.monolithic_solve(system, f, g)
-    u1, p1 = bf.fixed_stress_step(system, f, g, u_star, p_star, l_physical(params))
+    u1, p1 = fixed_stress_step(system, f, g, u_star, p_star, l_physical(params))
     p_scale = bf.m_norm(system.Mp, p_star)
     u_scale = bf.m_norm(system.A, u_star)
     assert bf.m_norm(system.Mp, p1 - p_star) <= 1e-9 * p_scale
@@ -67,7 +68,7 @@ def test_fixed_stress_step_vs_dense_oracle(problem8, params):
     L = l_physical(params)
     p_prev = rng.standard_normal(system.n_p)
     u_prev = system.a_solve(f + system.B.T @ p_prev)
-    u1, p1 = bf.fixed_stress_step(system, f, g, u_prev, p_prev, L)
+    u1, p1 = fixed_stress_step(system, f, g, u_prev, p_prev, L)
     u1_o, p1_o = dense_fixed_stress_step(system, f, g, u_prev, p_prev, L)
     assert np.abs(p1 - p1_o).max() <= 1e-10 * np.abs(p1_o).max()
     assert np.abs(u1 - u1_o).max() <= 1e-10 * np.abs(u1_o).max()
@@ -162,7 +163,7 @@ def test_free_energy_norms_match_explicit_products(params, inv_m, start):
     # The solve takes exactly these steps from the same start, so the
     # rebuilt iterates are bitwise its own.
     for (_, du), (_, un) in zip(trace.increment_norms, trace.solution_norms):
-        u_next, p = bf.fixed_stress_step(system, *loads, u, p, cfg.L)
+        u_next, p = fixed_stress_step(system, *loads, u, p, cfg.L)
         un_ref = bf.m_norm(system.A, u_next)
         du_ref = bf.m_norm(system.A, u_next - u)
         assert abs(un - un_ref) <= 1e-12 * un_ref
@@ -187,10 +188,10 @@ def test_fixed_stress_solve_products_with_a(params):
 def test_richardson_fixed_point_and_zero_relaxation(problem8):
     system, f, g = problem8.system, problem8.f, problem8.g
     _, p_star = bf.monolithic_solve(system, f, g)
-    gt = bf.schur_rhs(system, f, g)
-    p1 = bf.richardson_step(system, p_star, omega=5e10, g_tilde=gt)
+    gt = schur_rhs(system, f, g)
+    p1 = richardson_step(system, p_star, omega=5e10, g_tilde=gt)
     assert bf.m_norm(system.Mp, p1 - p_star) <= 1e-9 * bf.m_norm(system.Mp, p_star)
-    p_same = bf.richardson_step(system, p_star, omega=0.0, g_tilde=gt)
+    p_same = richardson_step(system, p_star, omega=0.0, g_tilde=gt)
     assert np.array_equal(p_same, p_star)
 
 
@@ -201,13 +202,13 @@ def test_richardson_equals_fixed_stress_pressure_path(problem8, params, l_factor
     system, f, g = problem8.system, problem8.f, problem8.g
     L = l_factor * l_physical(params)
     omega = 1.0 / (L + params.inv_m)
-    gt = bf.schur_rhs(system, f, g)
+    gt = schur_rhs(system, f, g)
     p_fs = np.zeros(system.n_p)
     u_fs = system.a_solve(f + system.B.T @ p_fs)
     p_ri = p_fs.copy()
     for _ in range(20):
-        u_fs, p_fs = bf.fixed_stress_step(system, f, g, u_fs, p_fs, L)
-        p_ri = bf.richardson_step(system, p_ri, omega, g_tilde=gt)
+        u_fs, p_fs = fixed_stress_step(system, f, g, u_fs, p_fs, L)
+        p_ri = richardson_step(system, p_ri, omega, g_tilde=gt)
         rel = np.linalg.norm(p_fs - p_ri) / max(np.linalg.norm(p_ri), 1e-300)
         assert rel <= 1e-8
 
@@ -268,7 +269,7 @@ def test_monolithic_singular_schur_stops_at_first_nonfinite_iterate(problem8, mo
 def test_monolithic_pressure_solves_schur_system(problem8):
     system, f, g = problem8.system, problem8.f, problem8.g
     _, p = bf.monolithic_solve(system, f, g)
-    gt = bf.schur_rhs(system, f, g)
+    gt = schur_rhs(system, f, g)
     resid = bf.schur_apply(system, p) - gt
     assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(gt)
 
@@ -281,7 +282,7 @@ def test_contraction_bound_with_dense_rates(problem8, dense_eigen8, params):
     lam_min, lam_max = w[0], w[-1]
     est = bf.optimal_parameters(lam_max, lam_min, params)
     _, p_star = bf.monolithic_solve(system, f, g)
-    gt = bf.schur_rhs(system, f, g)
+    gt = schur_rhs(system, f, g)
     rng = np.random.default_rng(31)
     for omega in (0.5 * est.omega_opt, est.omega_opt):
         rho = est.rho(omega)
@@ -290,7 +291,7 @@ def test_contraction_bound_with_dense_rates(problem8, dense_eigen8, params):
         p_it = p_star + err
         prev = bf.m_norm(system.Mp, err)
         for _ in range(50):
-            p_it = bf.richardson_step(system, p_it, omega, g_tilde=gt)
+            p_it = richardson_step(system, p_it, omega, g_tilde=gt)
             cur = bf.m_norm(system.Mp, p_it - p_star)
             assert cur <= (rho + 10 * 1e-12) * prev + 1e-13 * prev
             prev = cur

@@ -5,7 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 import biotfs as bf
-from biotfs.spectral import EstimationError, Pencil, _extreme_eigs
+from biotfs.assembly import reduced_divdiv
+from biotfs.linalg import factorize
+from biotfs.spectral import EstimationError, _extreme_eigs
 
 
 def _identity(x):
@@ -13,7 +15,8 @@ def _identity(x):
 
 
 def _explicit_pencil(K, M):
-    return Pencil(K.__matmul__, M, bf.factorize(M).solve)
+    """The operators (K, M, Minv) that _extreme_eigs takes for explicit K, M."""
+    return K.__matmul__, M, factorize(M).solve
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +72,8 @@ def test_schur_symmetry_and_definiteness(problem4):
 
 def test_power_max_diag_fixture():
     K = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-    pen = Pencil(K.__matmul__, sp.identity(3), _identity)
-    (value,), _, _, converged = _extreme_eigs(pen, "LA", 1e-10, 10000, 0)
+    (value,), _, _, converged = _extreme_eigs(
+        K.__matmul__, sp.identity(3), _identity, "LA", 1e-10, 10000, 0)
     assert converged
     assert value == pytest.approx(3.0, rel=1e-8)
 
@@ -81,7 +84,7 @@ def test_power_max_proportional_pencil_one_step():
     M = a @ a.T + 6 * np.eye(6)
     c = 2.5
     pen = _explicit_pencil(sp.csr_matrix(c * M), sp.csr_matrix(M))
-    (value,), _, applies, converged = _extreme_eigs(pen, "LA", 1e-12, 100, 0)
+    (value,), _, applies, converged = _extreme_eigs(*pen, "LA", 1e-12, 100, 0)
     assert value == pytest.approx(c, rel=1e-12)
     # A flat spectrum is exact after one Lanczos step; the bound allows
     # the size of the pencil plus one.
@@ -120,8 +123,8 @@ def test_step_cap_sizes_no_allocation(system16):
 
 def test_power_min_diag_fixture():
     K = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-    pen = Pencil(K.__matmul__, sp.identity(3), _identity)
-    (low, _), _, _, _ = _extreme_eigs(pen, "BE", 1e-10, 10000, 0)
+    (low, _), _, _, _ = _extreme_eigs(
+        K.__matmul__, sp.identity(3), _identity, "BE", 1e-10, 10000, 0)
     assert low == pytest.approx(1.0, rel=1e-8)
 
 
@@ -131,7 +134,7 @@ def test_power_min_proportional_pencil():
     M = a @ a.T + 5 * np.eye(5)
     c = 0.75
     pen = _explicit_pencil(sp.csr_matrix(c * M), sp.csr_matrix(M))
-    (low, _), _, _, _ = _extreme_eigs(pen, "BE", 1e-12, 100, 0)
+    (low, _), _, _, _ = _extreme_eigs(*pen, "BE", 1e-12, 100, 0)
     assert low == pytest.approx(c, rel=1e-10)
 
 
@@ -199,7 +202,7 @@ def test_inv_m_free_quantities_are_bitwise_free_of_inv_m(params):
 
 
 def _reduced_divdiv(problem):
-    return bf.reduced_divdiv(problem.mesh, problem.dofs)
+    return reduced_divdiv(problem.mesh, problem.dofs)
 
 
 def test_estimate_k_star_vs_dense_n8(problem8):
@@ -241,16 +244,15 @@ def test_estimate_k_star_proportional_fixture():
     # estimate_k_star takes a problem, so the explicit pencil goes straight
     # to the Lanczos routine it calls; k_star is the reciprocal of the top.
     pen = _explicit_pencil(T, sp.csr_matrix(c * T.toarray()))
-    (value,), _, _, _ = _extreme_eigs(pen, "LA", 1e-12, 1000, 0)
+    (value,), _, _, _ = _extreme_eigs(*pen, "LA", 1e-12, 1000, 0)
     assert 1.0 / value == pytest.approx(c, rel=1e-10)
 
 
 def test_estimate_k_star_degenerate_signal(problem4):
     system = problem4.system
     zero = sp.csr_matrix(system.A.shape)
-    degenerate = Pencil(zero.__matmul__, system.A, system.a_solve)
     with pytest.raises(EstimationError):
-        _extreme_eigs(degenerate, "LA", 1e-8, 100, 1)
+        _extreme_eigs(zero.__matmul__, system.A, system.a_solve, "LA", 1e-8, 100, 1)
 
 
 def test_estimate_k_star_rejects_an_uncertified_value(problem4):
@@ -275,17 +277,21 @@ def test_estimate_beta_infsup_signal(params):
         bf.optimal_parameters(2.0e-11, compressible.inv_m, compressible)
 
 
-def test_estimate_beta_dense_proof_identity(problem4, dense_eigen4, params):
+@pytest.mark.parametrize("inv_m", [0.0, 1.0e-11])
+def test_estimate_beta_dense_proof_identity(params, inv_m):
     # beta equals alpha^2 over the smallest eigenvalue of the coupled
-    # pencil (B inv(A) B', Mp); with inv_m = 0 this is the lambda_min
-    # identification itself.
-    system = problem4.system
-    w, _ = dense_eigen4
-    bab = bf.dense_schur(system) - params.inv_m * system.Mp.toarray()
-    wb, _ = bf.dense_generalized_symmetric_eigen(bab, system.Mp.toarray())
-    beta_dense = params.alpha**2 / wb[0]
-    beta_ident = bf.optimal_parameters(w[-1], w[0], params).beta
-    assert abs(beta_dense - beta_ident) <= 1e-6 * beta_ident
+    # pencil (B inv(A) B', Mp), and over the smallest nonzero eigenvalue of
+    # the projected pencil (B' inv(Mp) B, A): B has full row rank, so the
+    # kernel has dimension n_u - n_p and that eigenvalue is w_proj[-n_p].
+    material = dataclasses.replace(params, inv_m=inv_m)
+    system = bf.build_problem(4, material, sources=None).system
+    mp, b = system.Mp.toarray(), system.B.toarray()
+    w, _ = bf.dense_generalized_symmetric_eigen(bf.dense_schur(system), mp)
+    beta_ident = bf.optimal_parameters(w[-1], w[0], material).beta
+    wb, _ = bf.dense_generalized_symmetric_eigen(bf.dense_schur(system) - inv_m * mp, mp)
+    assert abs(material.alpha**2 / wb[0] - beta_ident) <= 1e-6 * beta_ident
+    w_proj, _ = bf.dense_generalized_symmetric_eigen(b.T @ np.linalg.solve(mp, b), system.A)
+    assert abs(material.alpha**2 / w_proj[-system.n_p] - beta_ident) <= 1e-6 * beta_ident
 
 
 def test_beta_dominates_k_star(problem8, params):
