@@ -1,7 +1,7 @@
 """Sparse and dense linear algebra helpers.
 
 CSR storage, factorizations, the energy norm, the dense generalized
-eigensolver and Matrix Market I/O, all backed by scipy. The iterative
+eigensolver and the Matrix Market writer, all backed by scipy. The iterative
 solves live with their operators: Lanczos in `spectral`, the Schur
 complement CG in `solver.monolithic_solve`. The dense eigensolver is only
 ever used at oracle scale (a few thousand unknowns).
@@ -109,8 +109,3 @@ def dense_generalized_symmetric_eigen(S, M):
 def save_matrix_market(path, A) -> None:
     """Write a sparse matrix in Matrix Market coordinate format."""
     scipy.io.mmwrite(str(path), sp.coo_matrix(A))
-
-
-def load_matrix_market(path):
-    """Read a Matrix Market file as CSR."""
-    return sp.csr_matrix(scipy.io.mmread(str(path)))

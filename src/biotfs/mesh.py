@@ -45,10 +45,6 @@ class Mesh:
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    @property
-    def num_edges(self) -> int:
-        return self.edges.shape[0]
-
     @cached_property
     def geometry(self):
         """Per-triangle affine map data, once per mesh: corners, Jacobian, det, inv(J)'."""

@@ -90,10 +90,10 @@ class TimeGrid:
 
 @dataclass
 class IterationTrace:
-    """Per-iteration record of one splitting solve."""
+    """Increment norms per iteration of one splitting solve, its count and
+    its outcome; the solution norms of the stopping test are not kept."""
 
     increment_norms: list = field(default_factory=list)  # (dp_M, du_A)
-    solution_norms: list = field(default_factory=list)  # (p_M, u_A)
     iterations: int = 0
     converged: bool = False
 
@@ -137,6 +137,7 @@ def fixed_stress_solve(
     ||du||_A <= eps_r ||u||_A; the satisfying iteration is included in the
     count. A non-convergent solve returns converged=False on the trace
     instead of raising, so parameter sweeps can record it as divergence.
+    u_init and p_init are only read, never copied or written.
 
     The A-norms take their products with A from the elastic loads: the
     direct solve gives A u_next = load = f + B' p_next, so ||u||_A uses the
@@ -146,8 +147,8 @@ def fixed_stress_solve(
     the u-norms agree to ~1e-13 relative and the du-norms, a difference of
     nearly equal loads, to ~1e-9.
     """
-    u = np.zeros(system.n_u) if u_init is None else np.asarray(u_init, float).copy()
-    p = np.zeros(system.n_p) if p_init is None else np.asarray(p_init, float).copy()
+    u = np.zeros(system.n_u) if u_init is None else np.asarray(u_init, float)
+    p = np.zeros(system.n_p) if p_init is None else np.asarray(p_init, float)
     load_prev = np.zeros(system.n_u) if u_init is None else system.A @ u
     load = np.empty(system.n_u)
     trace = IterationTrace()
@@ -159,7 +160,6 @@ def fixed_stress_solve(
         un = m_norm(system.A, u_next, Mx=load)
         load, load_prev = load_prev, load
         trace.increment_norms.append((dp, du))
-        trace.solution_norms.append((pn, un))
         u, p = u_next, p_next
         trace.iterations = i
         if not (np.isfinite(dp) and np.isfinite(du) and np.isfinite(pn) and np.isfinite(un)):

@@ -141,11 +141,13 @@ def _extreme_eigs(K, M, Minv, which: str, tol: float, maxit: int, seed: int):
 
     K(x) applies K, M is the positive definite matrix itself and Minv(x)
     applies inv(M). which="BE" gives both ends, which="LA" the largest; the
-    order of the pencil is that of M. The M-orthonormal basis grows by one
-    vector per step of one K product, one solve and one product with M;
-    each new vector goes twice through classical Gram-Schmidt against the
-    whole basis in the M inner product, which reads the M-products kept with
-    the basis, so reorthogonalization forms none. After step j a Ritz pair
+    order of the pencil is that of M. The M-orthonormal basis Q grows by one
+    vector per step of one K product and one solve: r = inv(M) K(q) goes
+    twice through classical Gram-Schmidt against the whole basis in the M
+    inner product, formed as Q (M r), and the first pass reuses K(q) as M r.
+    The two products with M per step (~0.03 ms each with Mp at n=64, against
+    ~8 ms for the step) spare the run an n x j array of M-images beside Q
+    and its O(j^2 n) re-copying. After step j a Ritz pair
     (theta, y) has the residual estimate |beta_j s_j| / |theta|, with s_j
     the last entry of its eigenvector of the tridiagonal T_j. Once every
     wanted estimate is within tol the explicit certificate is computed, and
@@ -166,21 +168,19 @@ def _extreme_eigs(K, M, Minv, which: str, tol: float, maxit: int, seed: int):
     steps = min(maxit, size)
     pick = [0, -1] if which == "BE" else [-1]
     q = np.random.default_rng(seed).standard_normal(size)
-    Mq = M @ q
-    norm = np.sqrt(q @ Mq)
-    Q, MQ = (q / norm)[None], (Mq / norm)[None]
+    Q = (q / np.sqrt(q @ (M @ q)))[None]
     alpha, beta = [], []
     failed = np.inf  # worst residual of the last failed certificate
     for j in range(1, steps + 1):
-        r = Minv(K(Q[-1]))
-        coef = 0.0
+        Mr = K(Q[-1])
+        r, coef = Minv(Mr), 0.0
         for _ in range(2):
-            c = MQ @ r
+            c = Q @ Mr
             r, coef = r - c @ Q, coef + c
+            Mr = M @ r
         alpha.append(coef[-1])
         if alpha[0] == 0.0:
             raise EstimationError("the operator K of the pencil vanishes")
-        Mr = M @ r
         beta.append(np.sqrt(max(r @ Mr, 0.0)))
         theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
         last = j == steps or beta[-1] == 0.0
@@ -193,7 +193,7 @@ def _extreme_eigs(K, M, Minv, which: str, tol: float, maxit: int, seed: int):
             if converged or last or max(residuals) >= failed:
                 return values, residuals, j, converged
             failed = max(residuals)
-        Q, MQ = np.vstack((Q, r / beta[-1])), np.vstack((MQ, Mr / beta[-1]))
+        Q = np.vstack((Q, r / beta[-1]))
 
 
 def estimate_k_star(problem, tol: float = 1e-8, maxit: int = 50000,

@@ -64,9 +64,12 @@ def test_criterion_2_eigenvalue_identifications(problem4, dense_eigen4, params):
     k_star_div = bf.estimate_k_star(problem4, tol=1e-10, maxit=200000, seed=SEED)
     gap_max = abs(params.alpha**2 / k_star_div + params.inv_m - lam_max) / lam_max
 
-    bab = bf.dense_schur(system) - params.inv_m * system.Mp.toarray()
-    wb, _ = bf.dense_generalized_symmetric_eigen(bab, system.Mp.toarray())
-    beta_dense = params.alpha**2 / wb[0]
+    # Coupled route, independent of (S, Mp): the smallest nonzero eigenvalue
+    # of the projected pencil (B' inv(Mp) B, A). B has full row rank, so the
+    # kernel has dimension n_u - n_p and that eigenvalue is w_proj[-n_p].
+    mp, b = system.Mp.toarray(), system.B.toarray()
+    w_proj, _ = bf.dense_generalized_symmetric_eigen(b.T @ np.linalg.solve(mp, b), system.A)
+    beta_dense = params.alpha**2 / w_proj[-system.n_p]
     beta_ident = params.alpha**2 / (lam_min - params.inv_m)
     gap_min = abs(beta_dense - beta_ident) / beta_ident
 

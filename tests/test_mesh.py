@@ -8,16 +8,16 @@ def test_smallest_mesh_counts():
     m = build_structured_mesh(1)
     assert m.num_triangles == 2
     assert m.num_vertices == 4
-    assert m.num_edges == 5
+    assert m.edges.shape[0] == 5
 
 
 def test_n2_counts_euler_formula():
     m = build_structured_mesh(2)
     assert m.num_triangles == 8
     assert m.num_vertices == 9
-    assert m.num_edges == 16
+    assert m.edges.shape[0] == 16
     # Euler: V - E + F = 2 with the outer face included.
-    assert m.num_vertices - m.num_edges + (m.num_triangles + 1) == 2
+    assert m.num_vertices - m.edges.shape[0] + (m.num_triangles + 1) == 2
 
 
 def test_counting_formulas_n16():
@@ -27,7 +27,7 @@ def test_counting_formulas_n16():
     m = build_structured_mesh(n)
     assert m.num_triangles == 2 * n * n == 512
     assert m.num_vertices == (n + 1) ** 2 == 289
-    assert m.num_edges == 2 * n * (n + 1) + n * n
+    assert m.edges.shape[0] == 2 * n * (n + 1) + n * n
 
 
 def test_rejects_zero_subdivisions():
@@ -127,7 +127,7 @@ def test_dof_count_formula():
     for n in (3, 5):
         m = build_structured_mesh(n)
         d = build_taylor_hood_dofs(m)
-        assert d.num_displacement_dofs == 2 * (m.num_vertices + m.num_edges)
+        assert d.num_displacement_dofs == 2 * (m.num_vertices + m.edges.shape[0])
         assert d.num_pressure_dofs == (n + 1) ** 2
 
 

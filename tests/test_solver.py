@@ -149,9 +149,11 @@ def _two_step_states(params):
 @pytest.mark.parametrize("inv_m", [0.0, 1e-11])
 @pytest.mark.parametrize("start", ["cold", "warm"])
 def test_free_energy_norms_match_explicit_products(params, inv_m, start):
-    # The A-norms come from the elastic loads, not from products with A;
-    # on every iteration they must match m_norm(A, .). The increment norm
-    # is a difference of nearly equal loads, hence its looser bound.
+    # The A-norms come from the elastic loads, not from products with A:
+    # every load must be A u_next, the increment norm must match
+    # m_norm(A, .), and the solve must stop where a loop on explicit
+    # products stops. The increment norm is a difference of nearly equal
+    # loads, hence its looser bound.
     cfg, system, first, second, (u1, p1) = _two_step_states(
         dataclasses.replace(params, inv_m=inv_m))
     if start == "cold":
@@ -162,13 +164,33 @@ def test_free_energy_norms_match_explicit_products(params, inv_m, start):
     assert trace.converged and trace.iterations > 3
     # The solve takes exactly these steps from the same start, so the
     # rebuilt iterates are bitwise its own.
-    for (_, du), (_, un) in zip(trace.increment_norms, trace.solution_norms):
-        u_next, p = fixed_stress_step(system, *loads, u, p, cfg.L)
-        un_ref = bf.m_norm(system.A, u_next)
+    load, stops = np.empty(system.n_u), []
+    for _, du in trace.increment_norms:
+        u_next, p_next = fixed_stress_step(system, *loads, u, p, cfg.L, load_out=load)
+        assert np.linalg.norm(system.A @ u_next - load) <= 1e-12 * np.linalg.norm(load)
         du_ref = bf.m_norm(system.A, u_next - u)
-        assert abs(un - un_ref) <= 1e-12 * un_ref
         assert abs(du - du_ref) <= 1e-8 * du_ref
-        u = u_next
+        stops.append(
+            bf.m_norm(system.Mp, p_next - p) <= cfg.eps_r * bf.m_norm(system.Mp, p_next)
+            and du_ref <= cfg.eps_r * bf.m_norm(system.A, u_next))
+        u, p = u_next, p_next
+    assert stops == [False] * (trace.iterations - 1) + [True]
+
+
+def test_fixed_stress_solve_leaves_its_inputs_alone(problem8, params):
+    # The start state is read, never copied or written, and the returned
+    # iterates are new arrays.
+    system, f, g = problem8.system, problem8.f, problem8.g
+    u0 = system.a_solve(f)
+    p0 = np.full(system.n_p, 1e3)
+    inputs = (u0, p0, f, g)
+    saved = [x.copy() for x in inputs]
+    u, p, trace = bf.fixed_stress_solve(system, f, g, bf.SolverConfig(L=l_physical(params)),
+                                        u_init=u0, p_init=p0)
+    assert trace.converged
+    for x, x_saved in zip(inputs, saved):
+        assert np.array_equal(x, x_saved)
+        assert not np.shares_memory(u, x) and not np.shares_memory(p, x)
 
 
 def test_fixed_stress_solve_products_with_a(params):
@@ -385,6 +407,21 @@ def test_built_problem_factors_a_first(params):
     system = bf.build_problem(4, params, sources=None).system
     cached = [name for name in vars(system) if name in ("a_solve", "m_solve", "Bt")]
     assert cached == ["a_solve", "m_solve", "Bt"]
+
+
+def test_fixed_stress_solve_concurrent_l_values_match_serial(problem8, params):
+    # The README's concurrency claim at the level of one solve: three
+    # stabilizations on one built system, in three workers, give the serial
+    # results bit for bit. SuperLU holds the interpreter lock, so no speedup is
+    # expected.
+    system, f, g = problem8.system, problem8.f, problem8.g
+    configs = [bf.SolverConfig(L=c * l_physical(params)) for c in (0.8, 1.0, 2.0)]
+    serial = [bf.fixed_stress_solve(system, f, g, cfg) for cfg in configs]
+    with ThreadPoolExecutor(3) as pool:
+        threaded = list(pool.map(lambda cfg: bf.fixed_stress_solve(system, f, g, cfg), configs))
+    for (u_s, p_s, t_s), (u_t, p_t, t_t) in zip(serial, threaded):
+        assert t_t.iterations == t_s.iterations and t_t.converged == t_s.converged
+        assert np.array_equal(u_t, u_s) and np.array_equal(p_t, p_s)
 
 
 def test_time_march_concurrent_l_values_match_serial(params):
