@@ -51,13 +51,13 @@ class MaterialParams:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.mu <= 0.0:
+        if not 0.0 < self.mu < np.inf:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.lam < 0.0:
+        if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.inv_m < 0.0:
+        if not 0.0 <= self.inv_m < np.inf:
             raise ValueError(f"inv_m must be nonnegative, got {self.inv_m}")
         if self.kappa != 0.0:
             raise ValueError(

@@ -40,7 +40,7 @@ class SweepGrid:
     count: int
 
     def __post_init__(self):
-        if not 0.0 < self.d_min < self.d_max:
+        if not 0.0 < self.d_min < self.d_max < math.inf:
             raise ConfigError(
                 f"sweep bounds must satisfy 0 < d_min < d_max, got "
                 f"[{self.d_min}, {self.d_max}]"
@@ -64,7 +64,7 @@ class SpectralConfig:
     def __post_init__(self):
         if self.mode not in ("fine", "coarse"):
             raise ConfigError(f"spectral mode must be fine or coarse, got {self.mode!r}")
-        if self.tol is not None and self.tol <= 0.0:
+        if self.tol is not None and not 0.0 < self.tol < math.inf:
             raise ConfigError(f"spectral tol must be positive, got {self.tol}")
         if self.maxit < 1:
             raise ConfigError(f"spectral maxit must be at least 1, got {self.maxit}")
@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError(f"mesh sizes must be distinct, got {self.mesh_ns}")
         if self.sources not in ("manufactured", "zero"):
             raise ConfigError(f"sources must be manufactured or zero, got {self.sources!r}")
+        if self.L != "optimal" and not isinstance(self.L, (int, float)):
+            raise ConfigError(f"L must be a number or 'optimal', got {self.L!r}")
         # SolverConfig checks eps_r, max_iter and a numeric L.
         SolverConfig(L=0.0 if self.L == "optimal" else self.L, eps_r=self.eps_r,
                      max_iter=self.max_iter)

@@ -278,7 +278,7 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     p_ri = p_fs.copy()
     eq_err = 0.0
     for _ in range(20):
-        u_fs, p_fs = fixed_stress_step(sys8, f8, g8, u_fs, p_fs, L_phys)
+        u_fs, p_fs, _ = fixed_stress_step(sys8, f8, g8, u_fs, p_fs, L_phys)
         p_ri = richardson_step(sys8, p_ri, omega, g_tilde=gt)
         eq_err = max(
             eq_err,

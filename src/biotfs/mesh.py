@@ -22,8 +22,6 @@ class Mesh:
 
     Attributes
     ----------
-    n : int
-        Subdivisions per side; the mesh diameter is h = 1/n.
     vertices : ndarray, shape (nv, 2)
         Vertex coordinates, ordered lexicographically by (y, x).
     triangles : ndarray, shape (nt, 3)
@@ -32,7 +30,6 @@ class Mesh:
         Unique edges as sorted index pairs, in lexicographic order.
     """
 
-    n: int
     vertices: np.ndarray
     triangles: np.ndarray
     edges: np.ndarray
@@ -127,7 +124,7 @@ def build_structured_mesh(n: int) -> Mesh:
     keys = np.unique(raw[:, 0] * nv + raw[:, 1])
     edges = np.column_stack(np.divmod(keys, nv))
 
-    return Mesh(n=n, vertices=vertices, triangles=triangles, edges=edges)
+    return Mesh(vertices=vertices, triangles=triangles, edges=edges)
 
 
 def mesh_to_text(mesh: Mesh) -> str:

@@ -54,9 +54,9 @@ class SolverConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.L < 0.0:
+        if not 0.0 <= self.L < np.inf:
             raise ValueError(f"L must be nonnegative, got {self.L}")
-        if self.eps_r <= 0.0:
+        if not 0.0 < self.eps_r < np.inf:
             raise ValueError(f"eps_r must be positive, got {self.eps_r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
@@ -71,6 +71,8 @@ class TimeGrid:
     t_end: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.t0, self.tau, self.t_end))):
+            raise ValueError(f"t0, tau and t_end must be finite, got {self}")
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         span = self.t_end - self.t0
@@ -91,7 +93,7 @@ class TimeGrid:
 @dataclass
 class IterationTrace:
     """Increment norms per iteration of one splitting solve, its count and
-    its outcome; the solution norms of the stopping test are not kept."""
+    its outcome."""
 
     increment_norms: list = field(default_factory=list)  # (dp_M, du_A)
     iterations: int = 0
@@ -100,26 +102,24 @@ class IterationTrace:
 
 def fixed_stress_step(
     system: BiotSystem, f: np.ndarray, g: np.ndarray, u_prev: np.ndarray,
-    p_prev: np.ndarray, L: float, load_out: np.ndarray | None = None,
+    p_prev: np.ndarray, L: float
 ):
     """One splitting iteration on the loads (f, g): stabilized flow update,
     then mechanics.
 
     Expects u_prev to be consistent with p_prev (u_prev = inv(A)(f + B'
     p_prev)), which every previous step's output satisfies. Exactly one flow
-    solve and one elastic solve. If given, load_out receives the elastic
-    load f + B' p_next, which is A u_next.
+    solve and one elastic solve. Returns (u_next, p_next, load) with the
+    elastic load = f + B' p_next = A u_next, a new array on every call, from
+    which fixed_stress_solve takes its A-norms.
     """
-    params = system.params
-    scale = L + params.inv_m
-    if scale <= 0.0:
+    inv_m = system.params.inv_m
+    if L + inv_m <= 0.0:
         raise ValueError("L + inv_m must be positive for the flow update")
-    rhs = g - system.B @ u_prev
-    if params.inv_m != 0.0:
-        rhs = rhs - params.inv_m * (system.Mp @ p_prev)
-    p_next = p_prev + system.m_solve(rhs) / scale
-    load = np.add(f, system.Bt @ p_next, out=load_out)
-    return system.a_solve(load), p_next
+    rhs = g - system.B @ u_prev - inv_m * (system.Mp @ p_prev)
+    p_next = p_prev + system.m_solve(rhs) / (L + inv_m)
+    load = f + system.Bt @ p_next
+    return system.a_solve(load), p_next, load
 
 
 def fixed_stress_solve(
@@ -133,14 +133,14 @@ def fixed_stress_solve(
     """Iterate the splitting scheme on the loads (f, g) to the relative
     increment tolerance.
 
-    Stops at the first iteration i with ||dp||_Mp <= eps_r ||p||_Mp and
-    ||du||_A <= eps_r ||u||_A; the satisfying iteration is included in the
-    count. A non-convergent solve returns converged=False on the trace
-    instead of raising, so parameter sweeps can record it as divergence.
-    u_init and p_init are only read, never copied or written.
+    Returns (u, p, trace). Stops at the first iteration i with ||dp||_Mp <=
+    eps_r ||p||_Mp and ||du||_A <= eps_r ||u||_A; the satisfying iteration
+    is included in the count. A non-convergent solve returns converged=False
+    on the trace instead of raising, so parameter sweeps can record it as
+    divergence. u_init and p_init are only read, never copied or written.
 
-    The A-norms take their products with A from the elastic loads: the
-    direct solve gives A u_next = load = f + B' p_next, so ||u||_A uses the
+    The A-norms take their products with A from the third value of each
+    fixed_stress_step, its load A u_next = f + B' p_next: ||u||_A uses the
     load and ||du||_A the difference of two successive loads. The load
     before the first iteration is A u_init, the one product with A per
     warm-started solve (none on a cold start). Against explicit products
@@ -150,17 +150,15 @@ def fixed_stress_solve(
     u = np.zeros(system.n_u) if u_init is None else np.asarray(u_init, float)
     p = np.zeros(system.n_p) if p_init is None else np.asarray(p_init, float)
     load_prev = np.zeros(system.n_u) if u_init is None else system.A @ u
-    load = np.empty(system.n_u)
     trace = IterationTrace()
     for i in range(1, config.max_iter + 1):
-        u_next, p_next = fixed_stress_step(system, f, g, u, p, config.L, load_out=load)
+        u_next, p_next, load = fixed_stress_step(system, f, g, u, p, config.L)
         dp = m_norm(system.Mp, p_next - p)
         du = m_norm(system.A, u_next - u, Mx=load - load_prev)
         pn = m_norm(system.Mp, p_next)
         un = m_norm(system.A, u_next, Mx=load)
-        load, load_prev = load_prev, load
         trace.increment_norms.append((dp, du))
-        u, p = u_next, p_next
+        u, p, load_prev = u_next, p_next, load
         trace.iterations = i
         if not (np.isfinite(dp) and np.isfinite(du) and np.isfinite(pn) and np.isfinite(un)):
             break
@@ -197,10 +195,7 @@ def dense_schur(system: BiotSystem) -> np.ndarray:
     """Explicit dense Schur complement; oracle-scale systems only."""
     bt = np.asarray(system.B.T.todense(), dtype=float)
     x = system.a_solve(bt)
-    s = np.asarray((system.B @ x), dtype=float)
-    if system.params.inv_m != 0.0:
-        s = s + system.params.inv_m * system.Mp.toarray()
-    return s
+    return np.asarray(system.B @ x, dtype=float) + system.params.inv_m * system.Mp.toarray()
 
 
 def monolithic_solve(system: BiotSystem, f: np.ndarray, g: np.ndarray):
@@ -308,16 +303,12 @@ def step_loads(
     u and p are the reduced state of the previous step. f is the body-force
     moment on the free displacement dofs and
     g = B u + inv_m * Mp p + tau * (source moment) on the interior pressure
-    dofs.
+    dofs; a missing source has a zero moment.
     """
     system, dofs = problem.system, problem.dofs
     f = assemble_momentum_load(problem.mesh, dofs, problem.body_force, t)[dofs.free_u]
-    g = system.B @ u
-    if system.params.inv_m != 0.0:
-        g = g + system.params.inv_m * (system.Mp @ p)
-    if problem.fluid_source is not None:
-        moment = assemble_source_moment(problem.mesh, dofs, problem.fluid_source, t)
-        g = g + tau * moment[dofs.free_p]
+    moment = assemble_source_moment(problem.mesh, dofs, problem.fluid_source, t)
+    g = system.B @ u + system.params.inv_m * (system.Mp @ p) + tau * moment[dofs.free_p]
     return f, g
 
 

@@ -130,7 +130,7 @@ def schur_apply(system: BiotSystem, p: np.ndarray, *, shift: bool = True) -> np.
     if p.shape[0] != system.n_p:
         raise ValueError(f"pressure vector has length {p.shape[0]}, expected {system.n_p}")
     out = system.B @ system.a_solve(system.Bt @ p)
-    if shift and system.params.inv_m != 0.0:
+    if shift:
         out = out + system.params.inv_m * (system.Mp @ p)
     return out
 
@@ -145,25 +145,25 @@ def _extreme_eigs(K, M, Minv, which: str, tol: float, maxit: int, seed: int):
     vector per step of one K product and one solve: r = inv(M) K(q) goes
     twice through classical Gram-Schmidt against the whole basis in the M
     inner product, formed as Q (M r), and the first pass reuses K(q) as M r.
-    The two products with M per step (~0.03 ms each with Mp at n=64, against
-    ~8 ms for the step) spare the run an n x j array of M-images beside Q
-    and its O(j^2 n) re-copying. After step j a Ritz pair
-    (theta, y) has the residual estimate |beta_j s_j| / |theta|, with s_j
-    the last entry of its eigenvector of the tridiagonal T_j. Once every
-    wanted estimate is within tol the explicit certificate is computed, and
-    the run stops when it passes, after min(maxit, size) steps, when the
-    Krylov space is invariant (beta_j == 0), or when a failed certificate is
-    no better than the previous failed one: the residuals have reached the
-    rounding floor, and further steps would only repeat the certificate.
+    The two products with M per step cost ~0.03 ms each with Mp at n=64,
+    against ~8 ms for the step, and keep Q the run's only n x j array. After
+    step j a Ritz pair (theta, y) has the residual estimate |beta_j s_j| /
+    |theta|, with s_j the last entry of its eigenvector of the tridiagonal
+    T_j. Once every wanted estimate is within tol the explicit certificate
+    is computed, and the run stops when it passes, after min(maxit, size)
+    steps, when the Krylov space is invariant (beta_j == 0), or when a
+    failed certificate is no better than the previous failed one: the
+    residuals have reached the rounding floor, and further steps would only
+    repeat the certificate.
 
     Returns (values, residuals, applies, converged): the eigenvalues in
     ascending order, their relative inv(M)-norm eigen-residuals, the number
     of K products taken before the certificate, and whether every residual
     is within tol. Raises EstimationError when K vanishes on the start
-    vector.
+    vector, and ValueError unless tol is finite and positive and maxit >= 1.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (0.0 < tol < np.inf and maxit >= 1):
+        raise ValueError(f"need a finite tol > 0 and maxit >= 1, got {tol} and {maxit}")
     size = M.shape[0]
     steps = min(maxit, size)
     pick = [0, -1] if which == "BE" else [-1]

@@ -43,7 +43,7 @@ def test_criterion_1_richardson_equivalence(problem8, params):
     p_ri = p_fs.copy()
     worst = 0.0
     for _ in range(20):
-        u_fs, p_fs = fixed_stress_step(system, f, g, u_fs, p_fs, L)
+        u_fs, p_fs, _ = fixed_stress_step(system, f, g, u_fs, p_fs, L)
         p_ri = richardson_step(system, p_ri, omega, g_tilde=gt)
         worst = max(
             worst,

@@ -32,7 +32,7 @@ def reference_triangle_mesh():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     triangles = np.array([[0, 1, 2]])
     edges = np.array([[0, 1], [0, 2], [1, 2]])
-    return Mesh(n=1, vertices=vertices, triangles=triangles, edges=edges)
+    return Mesh(vertices=vertices, triangles=triangles, edges=edges)
 
 
 # Assembled dof order on the reference mesh lists the midpoint of edge
@@ -233,7 +233,7 @@ def test_degenerate_triangle_rejected(params):
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     triangles = np.array([[0, 1, 2]])
     edges = np.array([[0, 1], [0, 2], [1, 2]])
-    mesh = Mesh(n=1, vertices=vertices, triangles=triangles, edges=edges)
+    mesh = Mesh(vertices=vertices, triangles=triangles, edges=edges)
     dofs = build_taylor_hood_dofs(mesh)
     with pytest.raises(ValueError):
         assemble_elasticity(mesh, dofs, params)

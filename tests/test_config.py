@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import re
 from pathlib import Path
 
@@ -191,6 +192,57 @@ def test_every_key_reaches_the_hash(section, key, value):
 def test_non_finite_numbers_rejected(section, key, value):
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
         parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+# Built directly, every dataclass rejects a non-finite value in each float
+# field, so a library caller gets the same loud failure as a config file.
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["mu", "lam", "alpha", "inv_m", "kappa"])
+def test_material_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError):
+        dataclasses.replace(bf.default_config().material, **{field: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["L", "eps_r"])
+def test_solver_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError):
+        dataclasses.replace(bf.SolverConfig(L=1e-11), **{field: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["t0", "tau", "t_end"])
+def test_time_grid_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        dataclasses.replace(bf.default_config().temporal, **{field: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["d_min", "d_max"])
+def test_sweep_grid_rejects_non_finite(field, value):
+    with pytest.raises(ConfigError, match="sweep bounds"):
+        dataclasses.replace(bf.default_config().sweep, **{field: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_spectral_config_rejects_non_finite(value):
+    with pytest.raises(ConfigError, match="spectral tol"):
+        dataclasses.replace(bf.default_config().spectral, tol=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["L", "eps_r"])
+def test_experiment_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError):
+        dataclasses.replace(bf.default_config(), **{field: value})
+
+
+def test_experiment_config_rejects_a_non_numeric_L():
+    with pytest.raises(ConfigError, match="'fast'"):
+        dataclasses.replace(bf.default_config(), L="fast")
 
 
 def test_negative_seed_rejected():

@@ -39,7 +39,7 @@ def test_time_grid_validation_and_step_count():
 def test_fixed_stress_step_zero_data_fixed_point(params):
     system = bf.build_problem(4, params, sources=None).system
     zu, zp = np.zeros(system.n_u), np.zeros(system.n_p)
-    u, p = fixed_stress_step(system, zu, zp, zu, zp, l_physical(params))
+    u, p, _ = fixed_stress_step(system, zu, zp, zu, zp, l_physical(params))
     assert np.all(u == 0.0)
     assert np.all(p == 0.0)
 
@@ -54,7 +54,7 @@ def test_fixed_stress_step_requires_positive_scale(params):
 def test_fixed_stress_step_at_exact_solution(problem8, params):
     system, f, g = problem8.system, problem8.f, problem8.g
     u_star, p_star = bf.monolithic_solve(system, f, g)
-    u1, p1 = fixed_stress_step(system, f, g, u_star, p_star, l_physical(params))
+    u1, p1, _ = fixed_stress_step(system, f, g, u_star, p_star, l_physical(params))
     p_scale = bf.m_norm(system.Mp, p_star)
     u_scale = bf.m_norm(system.A, u_star)
     assert bf.m_norm(system.Mp, p1 - p_star) <= 1e-9 * p_scale
@@ -68,7 +68,7 @@ def test_fixed_stress_step_vs_dense_oracle(problem8, params):
     L = l_physical(params)
     p_prev = rng.standard_normal(system.n_p)
     u_prev = system.a_solve(f + system.B.T @ p_prev)
-    u1, p1 = fixed_stress_step(system, f, g, u_prev, p_prev, L)
+    u1, p1, _ = fixed_stress_step(system, f, g, u_prev, p_prev, L)
     u1_o, p1_o = dense_fixed_stress_step(system, f, g, u_prev, p_prev, L)
     assert np.abs(p1 - p1_o).max() <= 1e-10 * np.abs(p1_o).max()
     assert np.abs(u1 - u1_o).max() <= 1e-10 * np.abs(u1_o).max()
@@ -150,7 +150,8 @@ def _two_step_states(params):
 @pytest.mark.parametrize("start", ["cold", "warm"])
 def test_free_energy_norms_match_explicit_products(params, inv_m, start):
     # The A-norms come from the elastic loads, not from products with A:
-    # every load must be A u_next, the increment norm must match
+    # every load must be A u_next, in a new array on every step (the solve
+    # keeps the previous one for ||du||_A), the increment norm must match
     # m_norm(A, .), and the solve must stop where a loop on explicit
     # products stops. The increment norm is a difference of nearly equal
     # loads, hence its looser bound.
@@ -164,10 +165,12 @@ def test_free_energy_norms_match_explicit_products(params, inv_m, start):
     assert trace.converged and trace.iterations > 3
     # The solve takes exactly these steps from the same start, so the
     # rebuilt iterates are bitwise its own.
-    load, stops = np.empty(system.n_u), []
+    stops, load_prev = [], np.empty(0)
     for _, du in trace.increment_norms:
-        u_next, p_next = fixed_stress_step(system, *loads, u, p, cfg.L, load_out=load)
+        u_next, p_next, load = fixed_stress_step(system, *loads, u, p, cfg.L)
         assert np.linalg.norm(system.A @ u_next - load) <= 1e-12 * np.linalg.norm(load)
+        assert not any(np.shares_memory(load, x) for x in (load_prev, u, p, *loads))
+        load_prev = load
         du_ref = bf.m_norm(system.A, u_next - u)
         assert abs(du - du_ref) <= 1e-8 * du_ref
         stops.append(
@@ -229,7 +232,7 @@ def test_richardson_equals_fixed_stress_pressure_path(problem8, params, l_factor
     u_fs = system.a_solve(f + system.B.T @ p_fs)
     p_ri = p_fs.copy()
     for _ in range(20):
-        u_fs, p_fs = fixed_stress_step(system, f, g, u_fs, p_fs, L)
+        u_fs, p_fs, _ = fixed_stress_step(system, f, g, u_fs, p_fs, L)
         p_ri = richardson_step(system, p_ri, omega, g_tilde=gt)
         rel = np.linalg.norm(p_fs - p_ri) / max(np.linalg.norm(p_ri), 1e-300)
         assert rel <= 1e-8

@@ -262,6 +262,19 @@ def test_estimate_k_star_rejects_an_uncertified_value(problem4):
         bf.estimate_k_star(problem4, tol=1e-10, maxit=3)
 
 
+@pytest.mark.parametrize("kwargs", [{"maxit": 0}, {"tol": np.nan}, {"tol": np.inf},
+                                    {"tol": 0.0}], ids=["maxit0", "tol_nan", "tol_inf", "tol0"])
+@pytest.mark.parametrize("estimator", ["spectrum", "k_star"])
+def test_estimators_reject_bad_arguments(problem4, estimator, kwargs):
+    # maxit = 0 used to fall off the Lanczos loop and tol = nan used to run
+    # to the step cap; both must fail before the first step.
+    with pytest.raises(ValueError, match="finite tol > 0 and maxit >= 1"):
+        if estimator == "spectrum":
+            bf.estimate_spectrum(problem4.system, **kwargs)
+        else:
+            bf.estimate_k_star(problem4, **kwargs)
+
+
 def test_estimate_beta_algebraic_inversion(params):
     c = 3.7e11
     lam_min = params.alpha**2 / c

@@ -4,7 +4,9 @@ Each example builds a small mesh (n = 2 gives a single pressure dof, where
 one Lanczos step is exact) and checks the SpectralEstimates
 invariants, the agreement with the dense oracles of (S, Mp) and of the
 unshifted (S0, Mp), and that the Richardson error contracts at the
-estimated optimum by no more than rho_opt per step.
+estimated optimum by no more than rho_opt per step. Two invariants of the
+operators themselves hold there too: the splitting scheme's pressures are
+the Richardson iterates, and S is symmetric.
 """
 
 import dataclasses
@@ -14,13 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biotfs as bf
-from biotfs.solver import richardson_step
+from biotfs.solver import fixed_stress_step, richardson_step, schur_rhs
 
 SLACK = 1e-12
 # Over the 50 examples below the largest step ratio exceeded rho_opt by
 # 1.9e-16, a rounding; 1e-12 leaves room for other platforms' rounding and
 # stays far below the 1e-8 eigenvalue tolerance that bounds rho_opt.
 CONTRACTION_SLACK = 1e-12
+# Over 500 random examples of the strategies below the largest relative
+# gaps were 2.8e-13 (splitting against Richardson, 20 steps) and 6.2e-16
+# (q.Sp against p.Sq). The bounds leave two orders of magnitude for
+# rounding on other platforms; the equivalence bound stays 100x below the
+# 1e-8 of the granite-default check.
+EQUIVALENCE_BOUND = 1e-10
+SYMMETRY_BOUND = 1e-13
 
 
 @st.composite
@@ -93,3 +102,34 @@ def test_tuning_parameters_match_dense_unshifted_pencil(params, n, seed):
                          (est.k_star, alpha2 / w[-1]),
                          (est.beta, alpha2 / w[0])):
         assert abs(value - exact) <= 1e-8 * exact
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(params=materials(), n=st.integers(2, 10))
+def test_splitting_pressures_are_richardson_iterates(params, n):
+    # 20 fixed-stress steps at L = alpha^2 / K_dr under the first-step loads
+    # give the Richardson iterates at omega = 1/(L + inv_m), for inv_m = 0
+    # and inv_m > 0 alike.
+    problem = bf.build_problem(n, params)
+    system = problem.system
+    f, g = bf.step_loads(problem, 0.1, 0.1, np.zeros(system.n_u), np.zeros(system.n_p))
+    L = params.alpha**2 / params.drained_bulk_modulus
+    g_tilde = schur_rhs(system, f, g)
+    u, p_fs = system.a_solve(f), np.zeros(system.n_p)
+    p_ri = p_fs.copy()
+    for _ in range(20):
+        u, p_fs, _ = fixed_stress_step(system, f, g, u, p_fs, L)
+        p_ri = richardson_step(system, p_ri, 1.0 / (L + params.inv_m), g_tilde=g_tilde)
+        gap = np.linalg.norm(p_fs - p_ri) / max(np.linalg.norm(p_ri), 1e-300)
+        assert gap <= EQUIVALENCE_BOUND
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(params=materials(), n=st.integers(2, 10), seed=st.integers(0, 2**31))
+def test_schur_complement_is_symmetric(params, n, seed):
+    # |q.Sp - p.Sq| relative to the Cauchy-Schwarz scale of the two products.
+    system = bf.build_problem(n, params, sources=None).system
+    p, q = np.random.default_rng(seed).standard_normal((2, system.n_p))
+    sp, sq = bf.schur_apply(system, p), bf.schur_apply(system, q)
+    scale = max(np.linalg.norm(q) * np.linalg.norm(sp), np.linalg.norm(p) * np.linalg.norm(sq))
+    assert abs(q @ sp - p @ sq) <= SYMMETRY_BOUND * scale

@@ -1,8 +1,11 @@
-"""Source rule: every function parameter in the package is read.
+"""Source rules: every function parameter and every stored field in the
+package is read.
 
 A parameter that the body never reads is accepted and then ignored: a
 caller can pass any value and nothing changes. `self`, `cls` and names
-that start with an underscore are exempt.
+that start with an underscore are exempt. Likewise an annotated class field
+that no code in the package loads as an attribute is stored and then
+ignored.
 """
 
 import ast
@@ -30,12 +33,16 @@ def _reads(func):
     }
 
 
-def test_every_parameter_is_read():
+def _trees():
     files = sorted(SRC.glob("*.py"))
     assert files
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in files]
+
+
+def test_every_parameter_is_read():
     offenders, seen = [], 0
-    for path in files:
-        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path, tree in _trees():
+        for func in ast.walk(tree):
             if not isinstance(func, FUNCTIONS):
                 continue
             reads = _reads(func)
@@ -44,4 +51,26 @@ def test_every_parameter_is_read():
                 if name not in reads:
                     offenders.append(f"{path.name}:{func.lineno} {name}")
     assert seen > 0
+    assert offenders == []
+
+
+def test_every_field_is_read():
+    trees = _trees()
+    loaded = {
+        node.attr
+        for _, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        (path.name, cls.name, stmt.target.id)
+        for path, tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    assert fields
+    offenders = [f"{name} {cls}.{field}" for name, cls, field in fields
+                 if field not in loaded]
     assert offenders == []
