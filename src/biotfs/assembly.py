@@ -151,7 +151,7 @@ def _grad_products(mesh: Mesh) -> np.ndarray:
     )
 
 
-def _vector_p2_form(mesh: Mesh, dofs: DofMap, mu: float, lam: float) -> sp.csr_matrix:
+def _vector_p2_form(dofs: DofMap, mu: float, lam: float) -> sp.csr_matrix:
     """Assemble 2*mu*(eps(u), eps(v)) + lam*(div u, div v) over all
     displacement dofs.
 
@@ -159,9 +159,9 @@ def _vector_p2_form(mesh: Mesh, dofs: DofMap, mu: float, lam: float) -> sp.csr_m
     terms) plus the lam div-div block; (mu, lam) = (0, 1) leaves exactly the
     div-div form.
     """
-    gab = _grad_products(mesh)
+    gab = _grad_products(dofs.mesh)
     gg = gab[..., 0, 0] + gab[..., 1, 1]
-    nt = mesh.num_triangles
+    nt = dofs.mesh.num_triangles
     local = np.zeros((nt, 12, 12))
     for a in range(2):
         for b in range(2):
@@ -174,17 +174,18 @@ def _vector_p2_form(mesh: Mesh, dofs: DofMap, mu: float, lam: float) -> sp.csr_m
     return _scatter(local, idx[:, :, None], idx[:, None, :], (n, n))
 
 
-def assemble_elasticity(mesh: Mesh, dofs: DofMap, params: MaterialParams) -> sp.csr_matrix:
+def assemble_elasticity(dofs: DofMap, params: MaterialParams) -> sp.csr_matrix:
     """Assemble the full linear elasticity operator over all displacement
     dofs, 2*mu*(eps(u), eps(v)) + lam*(div u, div v)."""
-    return _vector_p2_form(mesh, dofs, params.mu, params.lam)
+    return _vector_p2_form(dofs, params.mu, params.lam)
 
 
-def assemble_coupling(mesh: Mesh, dofs: DofMap, alpha: float) -> sp.csr_matrix:
+def assemble_coupling(dofs: DofMap, alpha: float) -> sp.csr_matrix:
     """Assemble B with B[q, v] = alpha * integral (div phi_v) psi_q.
 
     Rows are pressure dofs (vertices), columns displacement dofs.
     """
+    mesh = dofs.mesh
     pg, det = _p2_physical_gradients(mesh)
     vals = p1_values(TRIANGLE_QUAD_POINTS)
     local = alpha * np.einsum(
@@ -197,8 +198,9 @@ def assemble_coupling(mesh: Mesh, dofs: DofMap, alpha: float) -> sp.csr_matrix:
     return _scatter(local, rows, cols, shape)
 
 
-def assemble_pressure_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
+def assemble_pressure_mass(dofs: DofMap) -> sp.csr_matrix:
     """Assemble the consistent P1 pressure mass matrix over all vertices."""
+    mesh = dofs.mesh
     det = mesh.geometry[2]
     vals = p1_values(TRIANGLE_QUAD_POINTS)
     local = np.einsum(
@@ -208,14 +210,14 @@ def assemble_pressure_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     return _scatter(local, mesh.triangles[:, :, None], mesh.triangles[:, None, :], (nv, nv))
 
 
-def assemble_divdiv(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
+def assemble_divdiv(dofs: DofMap) -> sp.csr_matrix:
     """Assemble the div-div operator (div phi_i, div phi_j), all dofs.
 
     It is the lam-part of the elasticity form. Its quadratic form is the
     squared L2 norm of the discrete divergence; rigid motions and every
     discretely divergence-free field lie in its kernel.
     """
-    return _vector_p2_form(mesh, dofs, 0.0, 1.0)
+    return _vector_p2_form(dofs, 0.0, 1.0)
 
 
 def _moments(values, basis: np.ndarray, det: np.ndarray) -> np.ndarray:
@@ -227,31 +229,31 @@ def _moments(values, basis: np.ndarray, det: np.ndarray) -> np.ndarray:
     )
 
 
-def assemble_momentum_load(mesh: Mesh, dofs: DofMap, body_force, t: float) -> np.ndarray:
+def assemble_momentum_load(dofs: DofMap, body_force, t: float) -> np.ndarray:
     """Moment vector of the body force against the vector P2 basis.
 
     body_force(x, y, t) must accept arrays and return the two components.
     """
     if body_force is None:
         return np.zeros(dofs.num_displacement_dofs)
-    fx, fy = body_force(*mesh.quad_coords, t)
+    fx, fy = body_force(*dofs.mesh.quad_coords, t)
     vals = p2_values(TRIANGLE_QUAD_POINTS)
     nodes, n = dofs.tri_nodes.ravel(), dofs.num_nodes
     vec = np.empty(dofs.num_displacement_dofs)
-    det = mesh.geometry[2]
+    det = dofs.mesh.geometry[2]
     vec[0::2] = np.bincount(nodes, _moments(fx, vals, det).ravel(), minlength=n)
     vec[1::2] = np.bincount(nodes, _moments(fy, vals, det).ravel(), minlength=n)
     return vec
 
 
-def assemble_source_moment(mesh: Mesh, dofs: DofMap, source, t: float) -> np.ndarray:
+def assemble_source_moment(dofs: DofMap, source, t: float) -> np.ndarray:
     """Moment vector of a scalar source against the P1 basis, all vertices."""
     if source is None:
         return np.zeros(dofs.num_pressure_dofs)
-    sval = source(*mesh.quad_coords, t)
-    local = _moments(sval, p1_values(TRIANGLE_QUAD_POINTS), mesh.geometry[2])
+    sval = source(*dofs.mesh.quad_coords, t)
+    local = _moments(sval, p1_values(TRIANGLE_QUAD_POINTS), dofs.mesh.geometry[2])
     return np.bincount(
-        mesh.triangles.ravel(), local.ravel(), minlength=dofs.num_pressure_dofs
+        dofs.mesh.triangles.ravel(), local.ravel(), minlength=dofs.num_pressure_dofs
     )
 
 
@@ -303,16 +305,16 @@ def apply_boundary_conditions(
     )
 
 
-def build_system(mesh: Mesh, dofs: DofMap, params: MaterialParams) -> BiotSystem:
+def build_system(dofs: DofMap, params: MaterialParams) -> BiotSystem:
     """Assemble A, B and Mp and reduce them; nothing is factored yet."""
-    A = assemble_elasticity(mesh, dofs, params)
-    B = assemble_coupling(mesh, dofs, params.alpha)
-    Mp = assemble_pressure_mass(mesh, dofs)
+    A = assemble_elasticity(dofs, params)
+    B = assemble_coupling(dofs, params.alpha)
+    Mp = assemble_pressure_mass(dofs)
     return apply_boundary_conditions(A, B, Mp, dofs, params)
 
 
-def reduced_divdiv(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
+def reduced_divdiv(dofs: DofMap) -> sp.csr_matrix:
     """The div-div operator on the free displacement dofs. No solve reads
     it, so no system carries it; `estimate_k_star` and the dump call this."""
     free_u = dofs.free_u
-    return assemble_divdiv(mesh, dofs)[free_u][:, free_u].tocsr()
+    return assemble_divdiv(dofs)[free_u][:, free_u].tocsr()

@@ -3,8 +3,9 @@
 Subcommands: estimate, solve, sweep, verify. `main` loads the
 configuration, picks the meshes and writes --dump-matrices once for every
 command; each cmd_* function then only builds its report, writes it and
-returns the exit code. Exit codes: 0 success, 2 configuration error,
-3 numerical divergence, 4 verification failure.
+returns the exit code. Exit codes: 0 success, 2 configuration error or
+an output that cannot be written, 3 numerical divergence, 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -150,6 +151,9 @@ def main(argv=None) -> int:
         return args.run(cfg, ns, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # reading the config raises ConfigError instead
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

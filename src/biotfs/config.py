@@ -20,6 +20,7 @@ import configparser
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -45,6 +46,8 @@ class SweepGrid:
                 f"sweep bounds must satisfy 0 < d_min < d_max, got "
                 f"[{self.d_min}, {self.d_max}]"
             )
+        if not isinstance(self.count, Integral):
+            raise ConfigError(f"sweep count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ConfigError(f"sweep count must be at least 2, got {self.count}")
 
@@ -66,6 +69,9 @@ class SpectralConfig:
             raise ConfigError(f"spectral mode must be fine or coarse, got {self.mode!r}")
         if self.tol is not None and not 0.0 < self.tol < math.inf:
             raise ConfigError(f"spectral tol must be positive, got {self.tol}")
+        if not (isinstance(self.maxit, Integral) and isinstance(self.seed, Integral)):
+            raise ConfigError(f"spectral maxit and seed must be integers, got "
+                              f"{self.maxit!r} and {self.seed!r}")
         if self.maxit < 1:
             raise ConfigError(f"spectral maxit must be at least 1, got {self.maxit}")
         if self.seed < 0:
@@ -91,7 +97,8 @@ class ExperimentConfig:
     spectral: SpectralConfig = SpectralConfig()
 
     def __post_init__(self):
-        if not self.mesh_ns or min(self.mesh_ns) < 2:
+        ns = self.mesh_ns
+        if not ns or not all(isinstance(n, Integral) for n in ns) or min(ns) < 2:
             raise ConfigError(f"mesh sizes must be integers of at least 2, got {self.mesh_ns}")
         if len(set(self.mesh_ns)) != len(self.mesh_ns):
             raise ConfigError(f"mesh sizes must be distinct, got {self.mesh_ns}")

@@ -34,6 +34,7 @@ from .config import ExperimentConfig, config_hash, default_config
 from .linalg import dense_generalized_symmetric_eigen, m_norm, save_matrix_market
 from .mesh import build_structured_mesh, build_taylor_hood_dofs, mesh_to_text
 from .solver import (
+    MANUFACTURED_SOURCES,
     SolverConfig,
     TransientProblem,
     build_problem,
@@ -54,7 +55,7 @@ from .spectral import (
 
 
 def _problem(cfg: ExperimentConfig, n: int) -> TransientProblem:
-    sources = "manufactured" if cfg.sources == "manufactured" else None
+    sources = MANUFACTURED_SOURCES if cfg.sources == "manufactured" else None
     return build_problem(n, cfg.material, sources=sources)
 
 
@@ -229,7 +230,7 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     seed = cfg.spectral.seed
 
     # Small dense oracle mesh.
-    prob4 = build_problem(4, params, sources="manufactured")
+    prob4 = build_problem(4, params)
     sys4 = prob4.system
     mp4, w, _ = _dense_pencil(sys4)
     lam_min_d, lam_max_d = float(w[0]), float(w[-1])
@@ -263,7 +264,7 @@ def verify_report(cfg: ExperimentConfig) -> dict:
 
     # Richardson equivalence and contraction on a slightly larger mesh,
     # under the first-step loads of the built-in sources.
-    prob8 = build_problem(8, params, sources="manufactured")
+    prob8 = build_problem(8, params)
     sys8, tau = prob8.system, cfg.temporal.tau
     f8, g8 = step_loads(prob8, tau, tau, np.zeros(sys8.n_u), np.zeros(sys8.n_p))
     _, w8, v8 = _dense_pencil(sys8)
@@ -327,9 +328,9 @@ def dump_system(n: int, params: MaterialParams, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     mesh = build_structured_mesh(n)
     dofs = build_taylor_hood_dofs(mesh)
-    sys_red = build_system(mesh, dofs, params)
+    sys_red = build_system(dofs, params)
     save_matrix_market(directory / "A.mtx", sys_red.A)
     save_matrix_market(directory / "B.mtx", sys_red.B)
     save_matrix_market(directory / "Mp.mtx", sys_red.Mp)
-    save_matrix_market(directory / "Ddiv.mtx", reduced_divdiv(mesh, dofs))
+    save_matrix_market(directory / "Ddiv.mtx", reduced_divdiv(dofs))
     (directory / "mesh.txt").write_text(mesh_to_text(mesh), encoding="ascii")

@@ -15,6 +15,7 @@ makes the optimal stabilization parameter computable a priori.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -28,7 +29,7 @@ from .assembly import (
     manufactured_sources,
 )
 from .linalg import ConvergenceError, m_norm
-from .mesh import DofMap, Mesh, build_structured_mesh, build_taylor_hood_dofs
+from .mesh import DofMap, build_structured_mesh, build_taylor_hood_dofs
 from .spectral import schur_apply
 
 # Relative-criterion denominator floor; avoids 0/0 for identically zero
@@ -58,6 +59,8 @@ class SolverConfig:
             raise ValueError(f"L must be nonnegative, got {self.L}")
         if not 0.0 < self.eps_r < np.inf:
             raise ValueError(f"eps_r must be positive, got {self.eps_r}")
+        if not isinstance(self.max_iter, Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -114,8 +117,8 @@ def fixed_stress_step(
     which fixed_stress_solve takes its A-norms.
     """
     inv_m = system.params.inv_m
-    if L + inv_m <= 0.0:
-        raise ValueError("L + inv_m must be positive for the flow update")
+    if not 0.0 < L + inv_m < np.inf:
+        raise ValueError(f"L + inv_m must be positive and finite, got {L + inv_m}")
     rhs = g - system.B @ u_prev - inv_m * (system.Mp @ p_prev)
     p_next = p_prev + system.m_solve(rhs) / (L + inv_m)
     load = f + system.Bt @ p_next
@@ -185,8 +188,8 @@ def richardson_step(
     p_next = p_prev + omega * inv(Mp) (g_tilde - S p_prev), with S applied
     matrix-free and g_tilde = schur_rhs(system, f, g) computed once by the caller.
     """
-    if omega < 0.0:
-        raise ValueError(f"omega must be nonnegative, got {omega}")
+    if not 0.0 <= omega < np.inf:
+        raise ValueError(f"omega must be nonnegative and finite, got {omega}")
     residual = g_tilde - schur_apply(system, p_prev)
     return p_prev + omega * system.m_solve(residual)
 
@@ -234,37 +237,31 @@ def _require_finite(p: np.ndarray) -> None:
 class TransientProblem:
     """Assembled spatial problem plus its time-dependent sources."""
 
-    mesh: Mesh
     dofs: DofMap
     system: BiotSystem
     body_force: object = None
     fluid_source: object = None
 
 
+MANUFACTURED_SOURCES = manufactured_sources()
+
+
 def build_problem(
-    n: int, params: MaterialParams, sources: str | tuple | None = "manufactured"
+    n: int, params: MaterialParams, sources: tuple | None = MANUFACTURED_SOURCES
 ) -> TransientProblem:
     """Assemble the reduced system on an n x n mesh with optional sources,
     and factor it before anything else is allocated.
 
-    `sources` is "manufactured" for the built-in parabolic profiles, None
-    for a source-free problem, or an explicit (body_force, fluid_source)
-    pair of callables taking (x, y, t).
+    `sources` is a (body_force, fluid_source) pair of callables taking
+    (x, y, t), by default the built-in parabolic profiles, or None for a
+    source-free problem.
     """
     mesh = build_structured_mesh(n)
     mesh.geometry  # long-lived, so built before the assembly's temporaries
     dofs = build_taylor_hood_dofs(mesh)
-    system = build_system(mesh, dofs, params).prepare()
-    if sources == "manufactured":
-        body, fluid = manufactured_sources()
-    elif sources is None:
-        body, fluid = None, None
-    else:
-        body, fluid = sources
-    return TransientProblem(
-        mesh=mesh, dofs=dofs, system=system,
-        body_force=body, fluid_source=fluid,
-    )
+    system = build_system(dofs, params).prepare()
+    body, fluid = sources or (None, None)
+    return TransientProblem(dofs=dofs, system=system, body_force=body, fluid_source=fluid)
 
 
 @dataclass
@@ -306,8 +303,8 @@ def step_loads(
     dofs; a missing source has a zero moment.
     """
     system, dofs = problem.system, problem.dofs
-    f = assemble_momentum_load(problem.mesh, dofs, problem.body_force, t)[dofs.free_u]
-    moment = assemble_source_moment(problem.mesh, dofs, problem.fluid_source, t)
+    f = assemble_momentum_load(dofs, problem.body_force, t)[dofs.free_u]
+    moment = assemble_source_moment(dofs, problem.fluid_source, t)
     g = system.B @ u + system.params.inv_m * (system.Mp @ p) + tau * moment[dofs.free_p]
     return f, g
 

@@ -38,6 +38,7 @@ converged only when every residual is within the requested tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -160,10 +161,12 @@ def _extreme_eigs(K, M, Minv, which: str, tol: float, maxit: int, seed: int):
     ascending order, their relative inv(M)-norm eigen-residuals, the number
     of K products taken before the certificate, and whether every residual
     is within tol. Raises EstimationError when K vanishes on the start
-    vector, and ValueError unless tol is finite and positive and maxit >= 1.
+    vector, and ValueError unless tol is finite and positive and maxit is an
+    integer >= 1.
     """
-    if not (0.0 < tol < np.inf and maxit >= 1):
-        raise ValueError(f"need a finite tol > 0 and maxit >= 1, got {tol} and {maxit}")
+    if not (0.0 < tol < np.inf and isinstance(maxit, Integral) and maxit >= 1):
+        raise ValueError(f"need a finite tol > 0 and maxit >= 1, an integer, "
+                         f"got {tol} and {maxit!r}")
     size = M.shape[0]
     steps = min(maxit, size)
     pick = [0, -1] if which == "BE" else [-1]
@@ -201,13 +204,13 @@ def estimate_k_star(problem, tol: float = 1e-8, maxit: int = 50000,
     """Sharpest constant k with  u'Au >= k * ||div u||^2  on the free space.
 
     Computed as the reciprocal of the largest eigenvalue of the pencil
-    (Ddiv, A) of a problem, with Ddiv assembled for this call from its mesh
-    and dofs; it is at least the physical drained bulk modulus and depends
+    (Ddiv, A) of a problem, with Ddiv assembled for this call from its
+    dofs; it is at least the physical drained bulk modulus and depends
     on the boundary conditions. Raises EstimationError when the eigenvalue's
     residual certificate does not pass tol within maxit Lanczos steps.
     """
     system = problem.system
-    ddiv = reduced_divdiv(problem.mesh, problem.dofs)
+    ddiv = reduced_divdiv(problem.dofs)
     (value,), (residual,), _, converged = _extreme_eigs(
         ddiv.__matmul__, system.A, system.a_solve, "LA", tol, maxit, seed)
     if value <= 0.0:

@@ -140,7 +140,7 @@ def test_criterion_4_sweep_optimality(cfg, params):
     best = min(rows, key=lambda r: r["avg_iterations"])
     ok_argmin = abs(best["D"] - d_opt) <= step * (1.0 + 1e-12)
 
-    prob = bf.build_problem(16, params, sources="manufactured")
+    prob = bf.build_problem(16, params)
     left = bf.time_march(
         prob,
         bf.SolverConfig(L=params.alpha**2 / 0.690e11, eps_r=cfg.eps_r,

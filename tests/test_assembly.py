@@ -58,7 +58,7 @@ def test_quadrature_rule_exact_to_degree_four():
 def test_elasticity_rigid_modes(params):
     mesh = build_structured_mesh(4)
     dofs = build_taylor_hood_dofs(mesh)
-    A = assemble_elasticity(mesh, dofs, params)
+    A = assemble_elasticity(dofs, params)
     scale = abs(A).max()
     x, y = dofs.node_coords[:, 0], dofs.node_coords[:, 1]
     translation = np.zeros(dofs.num_displacement_dofs)
@@ -74,7 +74,7 @@ def test_elasticity_reference_triangle_vs_quadrature_oracle():
     mesh = reference_triangle_mesh()
     dofs = build_taylor_hood_dofs(mesh)
     mats = bf.MaterialParams(mu=1.0, lam=0.0)
-    A = assemble_elasticity(mesh, dofs, mats).toarray()
+    A = assemble_elasticity(dofs, mats).toarray()
     for io, ia in enumerate(REF_PERM):
         for jo, ja in enumerate(REF_PERM):
             for a in range(2):
@@ -86,7 +86,7 @@ def test_elasticity_reference_triangle_vs_quadrature_oracle():
 def test_divdiv_reference_triangle_vs_quadrature_oracle():
     mesh = reference_triangle_mesh()
     dofs = build_taylor_hood_dofs(mesh)
-    D = assemble_divdiv(mesh, dofs).toarray()
+    D = assemble_divdiv(dofs).toarray()
     for io, ia in enumerate(REF_PERM):
         for jo, ja in enumerate(REF_PERM):
             for a in range(2):
@@ -98,7 +98,7 @@ def test_divdiv_reference_triangle_vs_quadrature_oracle():
 def test_divdiv_translation_and_linear_field(params):
     mesh = build_structured_mesh(3)
     dofs = build_taylor_hood_dofs(mesh)
-    D = assemble_divdiv(mesh, dofs)
+    D = assemble_divdiv(dofs)
     translation = np.zeros(dofs.num_displacement_dofs)
     translation[1::2] = 1.0
     assert abs(translation @ (D @ translation)) <= 1e-13 * abs(D).max()
@@ -111,7 +111,7 @@ def test_divdiv_translation_and_linear_field(params):
 def test_coupling_zero_alpha():
     mesh = build_structured_mesh(3)
     dofs = build_taylor_hood_dofs(mesh)
-    B = assemble_coupling(mesh, dofs, alpha=0.0)
+    B = assemble_coupling(dofs, alpha=0.0)
     assert B.nnz == 0 or abs(B).max() == 0.0
 
 
@@ -120,8 +120,8 @@ def test_coupling_partition_of_unity_row_sums(params):
     # 2 * alpha * (mass matrix applied to the all-ones vector).
     mesh = build_structured_mesh(4)
     dofs = build_taylor_hood_dofs(mesh)
-    B = assemble_coupling(mesh, dofs, params.alpha)
-    Mp = assemble_pressure_mass(mesh, dofs)
+    B = assemble_coupling(dofs, params.alpha)
+    Mp = assemble_pressure_mass(dofs)
     u = np.empty(dofs.num_displacement_dofs)
     u[0::2] = dofs.node_coords[:, 0]
     u[1::2] = dofs.node_coords[:, 1]
@@ -132,7 +132,7 @@ def test_coupling_partition_of_unity_row_sums(params):
 def test_coupling_adjoint_identity():
     mesh = build_structured_mesh(3)
     dofs = build_taylor_hood_dofs(mesh)
-    B = assemble_coupling(mesh, dofs, alpha=1.0)
+    B = assemble_coupling(dofs, alpha=1.0)
     rng = np.random.default_rng(3)
     for _ in range(100):
         u = rng.standard_normal(dofs.num_displacement_dofs)
@@ -145,12 +145,12 @@ def test_coupling_adjoint_identity():
 def test_pressure_mass_total_and_closed_form():
     mesh = build_structured_mesh(5)
     dofs = build_taylor_hood_dofs(mesh)
-    Mp = assemble_pressure_mass(mesh, dofs)
+    Mp = assemble_pressure_mass(dofs)
     assert abs(Mp.sum() - 1.0) <= 1e-14
 
     ref = reference_triangle_mesh()
     ref_dofs = build_taylor_hood_dofs(ref)
-    local = assemble_pressure_mass(ref, ref_dofs).toarray()
+    local = assemble_pressure_mass(ref_dofs).toarray()
     area = 0.5
     closed = area / 12.0 * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
     assert np.abs(local - closed).max() <= 1e-15
@@ -159,7 +159,7 @@ def test_pressure_mass_total_and_closed_form():
 def test_pressure_mass_spd_dense_oracle():
     mesh = build_structured_mesh(4)
     dofs = build_taylor_hood_dofs(mesh)
-    Mp = assemble_pressure_mass(mesh, dofs).toarray()
+    Mp = assemble_pressure_mass(dofs).toarray()
     w = np.linalg.eigvalsh(Mp)
     assert w.min() > 0.0
 
@@ -168,9 +168,9 @@ def test_assembled_matrices_symmetric(params):
     mesh = build_structured_mesh(4)
     dofs = build_taylor_hood_dofs(mesh)
     for mat in (
-        assemble_elasticity(mesh, dofs, params),
-        assemble_pressure_mass(mesh, dofs),
-        assemble_divdiv(mesh, dofs),
+        assemble_elasticity(dofs, params),
+        assemble_pressure_mass(dofs),
+        assemble_divdiv(dofs),
     ):
         asym = abs(mat - mat.T).max()
         assert asym <= 1e-14 * abs(mat).max()
@@ -182,10 +182,10 @@ def test_assembled_matrices_canonical(params):
     mesh = build_structured_mesh(3)
     dofs = build_taylor_hood_dofs(mesh)
     for mat in (
-        assemble_elasticity(mesh, dofs, params),
-        assemble_coupling(mesh, dofs, params.alpha),
-        assemble_pressure_mass(mesh, dofs),
-        assemble_divdiv(mesh, dofs),
+        assemble_elasticity(dofs, params),
+        assemble_coupling(dofs, params.alpha),
+        assemble_pressure_mass(dofs),
+        assemble_divdiv(dofs),
     ):
         assert mat.format == "csr"
         assert mat.has_canonical_format
@@ -198,8 +198,8 @@ def test_physical_bulk_modulus_inequality(params):
     # 2*mu*||eps||^2 + lam*||div||^2 >= (2*mu/dim + lam)*||div||^2
     mesh = build_structured_mesh(4)
     dofs = build_taylor_hood_dofs(mesh)
-    A = assemble_elasticity(mesh, dofs, params)
-    D = assemble_divdiv(mesh, dofs)
+    A = assemble_elasticity(dofs, params)
+    D = assemble_divdiv(dofs)
     k_dr = params.drained_bulk_modulus
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -216,7 +216,7 @@ def test_interior_stencil_translation_invariance(params):
     for n in (4, 8):
         mesh = build_structured_mesh(n)
         dofs = build_taylor_hood_dofs(mesh)
-        A = assemble_elasticity(mesh, dofs, params)
+        A = assemble_elasticity(dofs, params)
         diag = A.diagonal()
         x, y = dofs.node_coords[:, 0], dofs.node_coords[:, 1]
         interior_vertex = (
@@ -236,13 +236,13 @@ def test_degenerate_triangle_rejected(params):
     mesh = Mesh(vertices=vertices, triangles=triangles, edges=edges)
     dofs = build_taylor_hood_dofs(mesh)
     with pytest.raises(ValueError):
-        assemble_elasticity(mesh, dofs, params)
+        assemble_elasticity(dofs, params)
 
 
 def test_boundary_reduction_dimensions(params):
     mesh = build_structured_mesh(2)
     dofs = build_taylor_hood_dofs(mesh)
-    system = build_system(mesh, dofs, params)
+    system = build_system(dofs, params)
     assert system.n_p == 1
     assert system.B.shape == (system.n_p, system.n_u)
 
@@ -250,7 +250,7 @@ def test_boundary_reduction_dimensions(params):
 def test_reduced_elasticity_spd_cholesky_oracle(params):
     mesh = build_structured_mesh(4)
     dofs = build_taylor_hood_dofs(mesh)
-    system = build_system(mesh, dofs, params)
+    system = build_system(dofs, params)
     np.linalg.cholesky(system.A.toarray())  # raises if not SPD
 
 
@@ -259,9 +259,9 @@ def test_reduction_matches_full_solve_with_identity_rows(params):
     # with identity rows give the same free-dof solution.
     mesh = build_structured_mesh(3)
     dofs = build_taylor_hood_dofs(mesh)
-    A_full = assemble_elasticity(mesh, dofs, params).toarray()
+    A_full = assemble_elasticity(dofs, params).toarray()
     body, _ = manufactured_sources()
-    f_full = bf.assemble_momentum_load(mesh, dofs, body, t=1.0)
+    f_full = bf.assemble_momentum_load(dofs, body, t=1.0)
     free = dofs.free_u
     fixed = np.setdiff1d(np.arange(dofs.num_displacement_dofs), free)
     A_mod = A_full.copy()
@@ -279,7 +279,7 @@ def test_apply_boundary_conditions_rejects_single_cell(params):
     mesh = build_structured_mesh(1)
     dofs = build_taylor_hood_dofs(mesh)
     with pytest.raises(ValueError):
-        build_system(mesh, dofs, params)
+        build_system(dofs, params)
 
 
 def test_flow_rhs_zero_case(params):
@@ -293,7 +293,7 @@ def test_flow_rhs_zero_case(params):
 def test_flow_rhs_unit_source_vs_quadrature_oracle(params):
     n = 4
     problem = bf.build_problem(n, params, sources=(None, lambda x, y, t: np.ones_like(x)))
-    mesh, dofs, system = problem.mesh, problem.dofs, problem.system
+    mesh, dofs, system = problem.dofs.mesh, problem.dofs, problem.system
     _, g = bf.step_loads(problem, 1.0, 0.1, np.zeros(system.n_u), np.zeros(system.n_p))
     # Independent oracle: tau * integral of each interior hat function.
     for row, vertex in enumerate(dofs.free_p):
@@ -331,8 +331,8 @@ def test_flow_rhs_constant_divergence(params):
     dofs = build_taylor_hood_dofs(mesh)
     u = np.zeros(dofs.num_displacement_dofs)
     u[0::2] = dofs.node_coords[:, 0]
-    g = (assemble_coupling(mesh, dofs, params.alpha) @ u)[dofs.free_p]
-    Mp = assemble_pressure_mass(mesh, dofs)
+    g = (assemble_coupling(dofs, params.alpha) @ u)[dofs.free_p]
+    Mp = assemble_pressure_mass(dofs)
     expected = params.alpha * (Mp @ np.ones(dofs.num_pressure_dofs))[dofs.free_p]
     assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -347,15 +347,15 @@ def test_flow_rhs_matches_reduced_fast_path(params):
     # The reduced-space load used by the time march must agree with the
     # full-vector load restricted to the interior pressure dofs.
     problem = bf.build_problem(3, params)
-    mesh, dofs, system = problem.mesh, problem.dofs, problem.system
+    mesh, dofs, system = problem.dofs.mesh, problem.dofs, problem.system
     rng = np.random.default_rng(5)
     u_red = rng.standard_normal(system.n_u)
     u_full = np.zeros(dofs.num_displacement_dofs)
     u_full[dofs.free_u] = u_red
     t, tau = 0.3, 0.1
     _, g = bf.step_loads(problem, t, tau, u_red, np.zeros(system.n_p))
-    B_full = assemble_coupling(mesh, dofs, params.alpha)
-    moment = bf.assemble_source_moment(mesh, dofs, problem.fluid_source, t)
+    B_full = assemble_coupling(dofs, params.alpha)
+    moment = bf.assemble_source_moment(dofs, problem.fluid_source, t)
     reference = (B_full @ u_full + tau * moment)[dofs.free_p]
     assert np.abs(g - reference).max() <= 1e-13 * max(np.abs(reference).max(), 1.0)
 
@@ -370,7 +370,7 @@ def test_momentum_load_vs_per_triangle_quadrature_oracle():
     def force(x, y, t):
         return t * (1.0 + x * y - y * y), t * (2.0 - x + 3.0 * x * x)
 
-    vec = bf.assemble_momentum_load(mesh, dofs, force, 0.7)
+    vec = bf.assemble_momentum_load(dofs, force, 0.7)
     oracle = np.zeros(dofs.num_displacement_dofs)
     for tri, nodes in zip(mesh.triangles, dofs.tri_nodes):
         verts = mesh.vertices[tri]
@@ -451,6 +451,6 @@ def test_system_holds_only_what_the_solves_read():
 def test_reduced_divdiv_matches_full_operator():
     mesh = build_structured_mesh(4)
     dofs = build_taylor_hood_dofs(mesh)
-    D = assemble_divdiv(mesh, dofs).toarray()
+    D = assemble_divdiv(dofs).toarray()
     free = dofs.free_u
-    assert np.array_equal(reduced_divdiv(mesh, dofs).toarray(), D[np.ix_(free, free)])
+    assert np.array_equal(reduced_divdiv(dofs).toarray(), D[np.ix_(free, free)])

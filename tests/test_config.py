@@ -4,10 +4,19 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import biotfs as bf
-from biotfs.config import ConfigError, canonical_text, config_hash, load_config, parse_config
+from biotfs.config import (
+    ConfigError,
+    SpectralConfig,
+    SweepGrid,
+    canonical_text,
+    config_hash,
+    load_config,
+    parse_config,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -238,6 +247,49 @@ def test_spectral_config_rejects_non_finite(value):
 def test_experiment_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError):
         dataclasses.replace(bf.default_config(), **{field: value})
+
+
+# Built directly, every integer field rejects a non-integer, which once
+# failed later with a TypeError inside the solve, the sweep or the estimator;
+# numpy integers stay accepted.
+@pytest.mark.parametrize("value, ok", [(2.5, False), (2.0, False), (np.int64(7), True)])
+def test_solver_config_rejects_a_non_integer_max_iter(value, ok):
+    if ok:
+        assert bf.SolverConfig(L=1e-11, max_iter=value).max_iter == value
+    else:
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            bf.SolverConfig(L=1e-11, max_iter=value)
+
+
+@pytest.mark.parametrize("field", ["maxit", "seed"])
+@pytest.mark.parametrize("value, ok", [(1.5, False), (np.int64(3), True)])
+def test_spectral_config_rejects_non_integers(field, value, ok):
+    if ok:
+        assert getattr(SpectralConfig(**{field: value}), field) == value
+    else:
+        with pytest.raises(ConfigError, match="must be integers"):
+            SpectralConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value, ok", [(2.5, False), (np.int64(3), True)])
+def test_sweep_grid_rejects_a_non_integer_count(value, ok):
+    if ok:
+        assert len(SweepGrid(1.0, 2.0, value).values()) == 3
+    else:
+        with pytest.raises(ConfigError, match="sweep count must be an integer"):
+            SweepGrid(1.0, 2.0, value)
+
+
+@pytest.mark.parametrize("changes, ok", [
+    ({"mesh_ns": (4.5,)}, False), ({"mesh_ns": (4, 8.0)}, False),
+    ({"max_iter": 10.5}, False), ({"mesh_ns": (np.int64(4),), "max_iter": np.int64(9)}, True),
+])
+def test_experiment_config_rejects_non_integers(changes, ok):
+    if ok:
+        dataclasses.replace(bf.default_config(), **changes)
+    else:
+        with pytest.raises(ValueError, match="integer"):
+            dataclasses.replace(bf.default_config(), **changes)
 
 
 def test_experiment_config_rejects_a_non_numeric_L():

@@ -62,7 +62,7 @@ def first_step(n, params):
     u, p = bf.monolithic_solve(system, f, g)
     x, y = dofs.node_coords.T
     u_int = TAU * np.column_stack([_eval(U1, x, y), _eval(U2, x, y)]).ravel()[dofs.free_u]
-    p_int = TAU * _eval(PRESSURE, *prob.mesh.vertices.T)[dofs.free_p]
+    p_int = TAU * _eval(PRESSURE, *prob.dofs.mesh.vertices.T)[dofs.free_p]
     return system, (f, g), (u, p), (u_int, p_int)
 
 

@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +35,8 @@ maxit = 100000
 """
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -374,6 +378,27 @@ def test_cli_config_error_exit(tmp_path, capsys):
     assert "mu" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mesh-n", "2", "--L", "1e-11", "--out", "taken"],
+    ["verify", "--out", "taken"],
+    ["estimate", "--mesh-n", "2", "--dump-matrices", "file"],
+    ["sweep", "--mesh-n", "2", "--out", "sweep.csv"],  # its sidecar is "taken"
+], ids=["solve-out", "verify-out", "estimate-dumps", "sweep-sidecar"])
+def test_cli_unwritable_output_is_a_one_line_error(tmp_path, argv):
+    # Each of these once ran the whole command and then ended in a traceback
+    # with exit 1, a code the CLI does not document.
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "sweep.csv.json").mkdir()
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    run = subprocess.run([sys.executable, "-m", "biotfs.cli", *argv], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("cannot write output: ")
+    assert run.stderr.count("\n") == 1
+
+
 def test_cli_sweep_outputs(tmp_path, capsys):
     # The CSV is a view of the sidecar's rows: each line renders one row
     # field by field, and stdout carries the same bytes as the file.
@@ -454,7 +479,7 @@ def test_cli_dump_matrices(tmp_path, capsys):
     prob = bf.build_problem(4, parse_config(SMALL_CFG).material, sources=None)
     assert abs(a - prob.system.A).max() <= 1e-12 * abs(prob.system.A).max()
     d = scipy.io.mmread(dump / "n4" / "Ddiv.mtx").tocsr()
-    ddiv = reduced_divdiv(prob.mesh, prob.dofs)
+    ddiv = reduced_divdiv(prob.dofs)
     assert abs(d - ddiv).max() <= 1e-12 * abs(ddiv).max()
     assert (dump / "n4" / "mesh.txt").exists()
 

@@ -23,7 +23,7 @@ def test_factorize_identity_and_diagonal():
 def test_factorize_vs_cg(params):
     mesh = build_structured_mesh(4)
     dofs = build_taylor_hood_dofs(mesh)
-    system = build_system(mesh, dofs, params)
+    system = build_system(dofs, params)
     rng = np.random.default_rng(4)
     b = rng.standard_normal(system.n_u)
     x_f = factorize(system.A).solve(b)
@@ -35,7 +35,7 @@ def test_factorize_vs_cg(params):
 def test_factorize_solve_inverse_property(params):
     mesh = build_structured_mesh(3)
     dofs = build_taylor_hood_dofs(mesh)
-    system = build_system(mesh, dofs, params)
+    system = build_system(dofs, params)
     F = factorize(system.A)
     rng = np.random.default_rng(6)
     for _ in range(5):
@@ -122,7 +122,7 @@ def test_m_norm_cases():
 def test_matrix_market_round_trip(tmp_path, params):
     mesh = build_structured_mesh(3)
     dofs = build_taylor_hood_dofs(mesh)
-    system = build_system(mesh, dofs, params)
+    system = build_system(dofs, params)
     path = tmp_path / "A.mtx"
     save_matrix_market(path, system.A)
     back = scipy.io.mmread(path).tocsr()

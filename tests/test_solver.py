@@ -51,6 +51,18 @@ def test_fixed_stress_step_requires_positive_scale(params):
         fixed_stress_step(system, zu, zp, zu, zp, 0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_step_functions_reject_non_finite_stabilization(problem4, value):
+    # A NaN stabilization once gave an all-NaN pressure, an infinite one
+    # returned p_prev unchanged, and omega = NaN or inf gave NaN or -inf.
+    system = problem4.system
+    zu, zp, ones = np.zeros(system.n_u), np.zeros(system.n_p), np.ones(system.n_p)
+    with pytest.raises(ValueError):
+        fixed_stress_step(system, zu, zp, zu, ones, value)
+    with pytest.raises(ValueError):
+        richardson_step(system, ones, value, g_tilde=zp)
+
+
 def test_fixed_stress_step_at_exact_solution(problem8, params):
     system, f, g = problem8.system, problem8.f, problem8.g
     u_star, p_star = bf.monolithic_solve(system, f, g)
@@ -137,7 +149,7 @@ class CountingMatrix(sp.csr_matrix):
 def _two_step_states(params):
     """An n=8 system, its first-step loads, the second step's loads and
     the first step's state."""
-    prob = bf.build_problem(8, params, sources="manufactured")
+    prob = bf.build_problem(8, params)
     system = prob.system
     cfg = bf.SolverConfig(L=l_physical(params))
     first = bf.step_loads(prob, 0.1, 0.1, np.zeros(system.n_u), np.zeros(system.n_p))
@@ -323,7 +335,7 @@ def test_contraction_bound_with_dense_rates(problem8, dense_eigen8, params):
 
 
 def test_time_march_single_step(problem8, params):
-    prob = bf.build_problem(8, params, sources="manufactured")
+    prob = bf.build_problem(8, params)
     grid = bf.TimeGrid(t0=0.0, tau=0.1, t_end=0.1)
     res = bf.time_march(prob, bf.SolverConfig(L=l_physical(params)), grid)
     assert len(res.counts) == 1
@@ -339,14 +351,14 @@ def test_time_march_zero_sources_single_iterations(params):
 
 
 def test_time_march_benchmark_grid_has_ten_steps(params):
-    prob = bf.build_problem(4, params, sources="manufactured")
+    prob = bf.build_problem(4, params)
     grid = bf.TimeGrid(t0=0.0, tau=0.1, t_end=1.0)
     res = bf.time_march(prob, bf.SolverConfig(L=l_physical(params)), grid)
     assert len(res.counts) == 10
 
 
 def test_time_march_divergent_cap_and_flag(params):
-    prob = bf.build_problem(8, params, sources="manufactured")
+    prob = bf.build_problem(8, params)
     grid = bf.TimeGrid(t0=0.0, tau=0.1, t_end=1.0)
     res = bf.time_march(prob, bf.SolverConfig(L=l_physical(params), max_iter=1), grid)
     assert res.diverged
@@ -365,7 +377,7 @@ def test_fixed_stress_solve_records_iterates(problem8, params):
 def test_iteration_counts_minimal_at_optimal(problem8, params):
     # Average counts on a small stabilization grid are never below the
     # count at the estimated optimum (ties allowed).
-    prob = bf.build_problem(8, params, sources="manufactured")
+    prob = bf.build_problem(8, params)
     est = bf.estimate_spectrum(prob.system, tol=1e-10, maxit=100000, seed=1)
     grid = bf.TimeGrid(t0=0.0, tau=0.1, t_end=1.0)
     opt = bf.time_march(prob, bf.SolverConfig(L=est.l_opt), grid).average
@@ -395,7 +407,7 @@ def test_built_problem_factors_nothing_after_build(params, monkeypatch):
     calls = []
     original = biotfs.assembly.factorize
     monkeypatch.setattr(biotfs.assembly, "factorize", lambda M: calls.append(M) or original(M))
-    prob = bf.build_problem(4, params, sources="manufactured")
+    prob = bf.build_problem(4, params)
     assert len(calls) == 2
     grid = bf.TimeGrid(t0=0.0, tau=0.1, t_end=0.3)
     bf.time_march(prob, bf.SolverConfig(L=l_physical(params)), grid)
@@ -432,7 +444,7 @@ def test_time_march_concurrent_l_values_match_serial(params):
     # concurrently against one assembled system. Four workers and a short
     # switch interval interleave the shared factor solves as much as the
     # interpreter allows.
-    prob = bf.build_problem(8, params, sources="manufactured")
+    prob = bf.build_problem(8, params)
     est = bf.estimate_spectrum(prob.system, tol=1e-8, seed=1)
     grid = bf.TimeGrid(t0=0.0, tau=0.1, t_end=1.0)
     configs = [bf.SolverConfig(L=f * est.l_opt) for f in (0.8, 1.0, 1.3, 2.0)]

@@ -202,7 +202,7 @@ def test_inv_m_free_quantities_are_bitwise_free_of_inv_m(params):
 
 
 def _reduced_divdiv(problem):
-    return reduced_divdiv(problem.mesh, problem.dofs)
+    return reduced_divdiv(problem.dofs)
 
 
 def test_estimate_k_star_vs_dense_n8(problem8):
@@ -262,12 +262,14 @@ def test_estimate_k_star_rejects_an_uncertified_value(problem4):
         bf.estimate_k_star(problem4, tol=1e-10, maxit=3)
 
 
-@pytest.mark.parametrize("kwargs", [{"maxit": 0}, {"tol": np.nan}, {"tol": np.inf},
-                                    {"tol": 0.0}], ids=["maxit0", "tol_nan", "tol_inf", "tol0"])
+@pytest.mark.parametrize("kwargs", [{"maxit": 0}, {"maxit": 2.5}, {"tol": np.nan},
+                                    {"tol": np.inf}, {"tol": 0.0}],
+                         ids=["maxit0", "maxit2.5", "tol_nan", "tol_inf", "tol0"])
 @pytest.mark.parametrize("estimator", ["spectrum", "k_star"])
 def test_estimators_reject_bad_arguments(problem4, estimator, kwargs):
-    # maxit = 0 used to fall off the Lanczos loop and tol = nan used to run
-    # to the step cap; both must fail before the first step.
+    # maxit = 0 used to fall off the Lanczos loop, maxit = 2.5 failed inside
+    # range() and tol = nan used to run to the step cap; each must fail
+    # before the first step.
     with pytest.raises(ValueError, match="finite tol > 0 and maxit >= 1"):
         if estimator == "spectrum":
             bf.estimate_spectrum(problem4.system, **kwargs)

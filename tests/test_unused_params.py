@@ -1,11 +1,12 @@
 """Source rules: every function parameter and every stored field in the
-package is read.
+package is read, and no input is given twice.
 
 A parameter that the body never reads is accepted and then ignored: a
 caller can pass any value and nothing changes. `self`, `cls` and names
 that start with an underscore are exempt. Likewise an annotated class field
 that no code in the package loads as an attribute is stored and then
-ignored.
+ignored. A DofMap owns its mesh, so a function or class that takes a mesh
+beside a dof map can be handed a mesh that is not the dof map's.
 """
 
 import ast
@@ -39,6 +40,12 @@ def _trees():
     return [(path, ast.parse(path.read_text(), filename=str(path))) for path in files]
 
 
+def _fields(cls):
+    """Names of the annotated fields of a class body."""
+    return [stmt.target.id for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
 def test_every_parameter_is_read():
     offenders, seen = [], 0
     for path, tree in _trees():
@@ -63,14 +70,28 @@ def test_every_field_is_read():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     fields = [
-        (path.name, cls.name, stmt.target.id)
+        (path.name, cls.name, field)
         for path, tree in trees
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef)
-        for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        for field in _fields(cls)
     ]
     assert fields
     offenders = [f"{name} {cls}.{field}" for name, cls, field in fields
                  if field not in loaded]
+    assert offenders == []
+
+
+def test_no_mesh_beside_its_dofs():
+    offenders = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, FUNCTIONS):
+                names = _parameters(node)
+            elif isinstance(node, ast.ClassDef):
+                names = _fields(node)
+            else:
+                continue
+            if {"mesh", "dofs"} <= set(names):
+                offenders.append(f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}")
     assert offenders == []
