@@ -16,11 +16,11 @@ def params():
 
 
 def _loaded_problem(n, params, t=0.1, tau=0.1):
-    """A problem (mesh, dofs, system) with the first-step loads f, g of the
+    """A problem (dofs, system) with the first-step loads f, g of the
     built-in sources."""
     prob = bf.build_problem(n, params)
     f, g = bf.step_loads(prob, t, tau, np.zeros(prob.system.n_u), np.zeros(prob.system.n_p))
-    return SimpleNamespace(mesh=prob.dofs.mesh, dofs=prob.dofs, system=prob.system, f=f, g=g)
+    return SimpleNamespace(dofs=prob.dofs, system=prob.system, f=f, g=g)
 
 
 @pytest.fixture(scope="session")
