@@ -76,10 +76,10 @@ class BiotSystem:
     """Reduced block system: the three operators of the pencil, fixed at build.
 
     A acts on the free displacement dofs, Mp on the interior pressure dofs
-    and B maps free displacements to interior pressures. The factors of A
-    and Mp and Bt = B' are built once per system, on first use or by
-    `prepare()`; a new matrix means a new system. The loads of a time step
-    are not part of it: the solves take them as arguments.
+    and B maps free displacements to interior pressures; products with B'
+    read `B.T`. The factors of A and Mp are built once per system, on first
+    use or by `prepare()`; a new matrix means a new system. The loads of a
+    time step are not part of it: the solves take them as arguments.
     """
 
     A: sp.csr_matrix
@@ -96,17 +96,11 @@ class BiotSystem:
         return self.Mp.shape[0]
 
     def prepare(self) -> "BiotSystem":
-        """Build the factor of A, then that of Mp, then B'. With A's first, an
-        n=64 run peaks 13-18 MB lower than with B' or Mp's factor first."""
+        """Build the factor of A, then that of Mp. With A's first, an n=64
+        run peaks 13-18 MB lower than with Mp's factor first."""
         self.a_solve
         self.m_solve
-        self.Bt
         return self
-
-    @cached_property
-    def Bt(self) -> sp.csr_matrix:
-        """B' as CSR; its products are bitwise equal to `B.T @ p`."""
-        return self.B.T.tocsr()
 
     @cached_property
     def a_solve(self):

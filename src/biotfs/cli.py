@@ -2,16 +2,19 @@
 
 Subcommands: estimate, solve, sweep, verify. `main` loads the
 configuration, picks the meshes and writes --dump-matrices once for every
-command; each cmd_* function then only builds its report, writes it and
-returns the exit code. Exit codes: 0 success, 2 configuration error or
-an output that cannot be written, 3 numerical divergence, 4 verification
-failure.
+command, after checking that every output can be written; each cmd_*
+function then only builds its report, writes it and returns the exit code.
+Exit codes: 0 success, 2 configuration error (an unreadable config file
+included) or an output that cannot be written, 3 numerical divergence, 4
+verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -84,6 +87,26 @@ def _load(args: argparse.Namespace):
     return override(cfg, raw)
 
 
+def _check_writable(path: Path, directory: bool = False) -> None:
+    """Raise the OSError that writing path would end in, before any work: a
+    file output that is a directory, a directory output that is not one, or
+    a nearest existing ancestor that is not a writable directory. Creates
+    nothing; a write can still fail late, on a full disk for one."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    wants_dir = directory or existing != path
+    if existing.is_dir() != wants_dir:
+        code = errno.ENOTDIR if wants_dir else errno.EISDIR
+    elif not os.access(existing, os.W_OK | (os.X_OK if wants_dir else 0)):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(existing))
+
+
+def _sidecar(out: Path) -> Path:
+    return out.with_suffix(out.suffix + ".json")
+
+
 def _emit(payload: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(payload)
@@ -109,8 +132,7 @@ def cmd_sweep(cfg, ns, out) -> int:
     report = sweep_report(cfg, mesh_ns=ns)
     _emit(sweep_csv(report), out)
     if out is not None:
-        sidecar = out.with_suffix(out.suffix + ".json")
-        sidecar.write_text(json.dumps(report, indent=2), encoding="utf-8")
+        _sidecar(out).write_text(json.dumps(report, indent=2), encoding="utf-8")
     return EXIT_OK
 
 
@@ -143,9 +165,15 @@ def main(argv=None) -> int:
             ns = cfg.mesh_ns
         if args.command == "solve" and len(ns) != 1:
             raise ConfigError("solve needs a single mesh; pass --mesh-n or configure one value")
-        if args.dump_matrices:
-            for n in ns:
-                dump_system(n, cfg.material, args.dump_matrices / f"n{n}")
+        if args.out is not None:
+            _check_writable(args.out)
+            if args.command == "sweep":
+                _check_writable(_sidecar(args.out))
+        dumps = {n: args.dump_matrices / f"n{n}" for n in ns} if args.dump_matrices else {}
+        for path in dumps.values():
+            _check_writable(path, directory=True)
+        for n, path in dumps.items():
+            dump_system(n, cfg.material, path)
         if args.command == "verify":
             return cmd_verify(cfg, args.out)
         return args.run(cfg, ns, args.out)

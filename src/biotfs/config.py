@@ -67,8 +67,8 @@ class SpectralConfig:
     def __post_init__(self):
         if self.mode not in ("fine", "coarse"):
             raise ConfigError(f"spectral mode must be fine or coarse, got {self.mode!r}")
-        if self.tol is not None and not 0.0 < self.tol < math.inf:
-            raise ConfigError(f"spectral tol must be positive, got {self.tol}")
+        if self.tol is not None and not 0.0 < self.tol < 1.0:
+            raise ConfigError(f"spectral tol must be positive and below 1, got {self.tol}")
         if not (isinstance(self.maxit, Integral) and isinstance(self.seed, Integral)):
             raise ConfigError(f"spectral maxit and seed must be integers, got "
                               f"{self.maxit!r} and {self.seed!r}")
@@ -218,7 +218,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config(text)
 

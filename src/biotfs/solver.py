@@ -45,9 +45,9 @@ class SolverConfig:
     """Splitting solver controls.
 
     L is the stabilization parameter (1/Pa); it must be positive for
-    incompressible fluids (inv_m = 0). eps_r is the relative increment
-    tolerance in the energy norms and max_iter the per-step cap. The inner
-    elastic and flow solves are direct.
+    incompressible fluids (inv_m = 0). eps_r, in (0, 1), is the relative
+    increment tolerance in the energy norms and max_iter the per-step cap.
+    The inner elastic and flow solves are direct.
     """
 
     L: float
@@ -57,8 +57,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 <= self.L < np.inf:
             raise ValueError(f"L must be nonnegative, got {self.L}")
-        if not 0.0 < self.eps_r < np.inf:
-            raise ValueError(f"eps_r must be positive, got {self.eps_r}")
+        if not 0.0 < self.eps_r < 1.0:
+            raise ValueError(f"eps_r must be positive and below 1, got {self.eps_r}")
         if not isinstance(self.max_iter, Integral):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
@@ -80,7 +80,8 @@ class TimeGrid:
             raise ValueError(f"tau must be positive, got {self.tau}")
         span = self.t_end - self.t0
         steps = span / self.tau
-        if span <= 0.0 or abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
+        # An overflowed span or step count is rejected before round() meets it.
+        if not 0.0 < steps < np.inf or abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(
                 f"(t_end - t0)/tau must be a positive integer, got {steps}"
             )
@@ -121,7 +122,7 @@ def fixed_stress_step(
         raise ValueError(f"L + inv_m must be positive and finite, got {L + inv_m}")
     rhs = g - system.B @ u_prev - inv_m * (system.Mp @ p_prev)
     p_next = p_prev + system.m_solve(rhs) / (L + inv_m)
-    load = f + system.Bt @ p_next
+    load = f + system.B.T @ p_next
     return system.a_solve(load), p_next, load
 
 
@@ -222,7 +223,7 @@ def monolithic_solve(system: BiotSystem, f: np.ndarray, g: np.ndarray):
         raise ConvergenceError(
             f"Schur CG stopped with info={info} before a 1e-13 relative residual"
         )
-    u = system.a_solve(f + system.Bt @ p)
+    u = system.a_solve(f + system.B.T @ p)
     return u, p
 
 

@@ -130,7 +130,7 @@ def schur_apply(system: BiotSystem, p: np.ndarray, *, shift: bool = True) -> np.
     """
     if p.shape[0] != system.n_p:
         raise ValueError(f"pressure vector has length {p.shape[0]}, expected {system.n_p}")
-    out = system.B @ system.a_solve(system.Bt @ p)
+    out = system.B @ system.a_solve(system.B.T @ p)
     if shift:
         out = out + system.params.inv_m * (system.Mp @ p)
     return out
@@ -161,12 +161,11 @@ def _extreme_eigs(K, M, Minv, which: str, tol: float, maxit: int, seed: int):
     ascending order, their relative inv(M)-norm eigen-residuals, the number
     of K products taken before the certificate, and whether every residual
     is within tol. Raises EstimationError when K vanishes on the start
-    vector, and ValueError unless tol is finite and positive and maxit is an
-    integer >= 1.
+    vector, and ValueError unless 0 < tol < 1 and maxit is an integer >= 1.
     """
-    if not (0.0 < tol < np.inf and isinstance(maxit, Integral) and maxit >= 1):
+    if not (0.0 < tol < 1.0 and isinstance(maxit, Integral) and maxit >= 1):
         raise ValueError(f"need a finite tol > 0 and maxit >= 1, an integer, "
-                         f"got {tol} and {maxit!r}")
+                         f"with tol below 1, got {tol} and {maxit!r}")
     size = M.shape[0]
     steps = min(maxit, size)
     pick = [0, -1] if which == "BE" else [-1]

@@ -414,21 +414,6 @@ def test_manufactured_sources_profile():
     assert fluid(0.3, 0.7, 0.0) == 0.0
 
 
-def test_cached_coupling_transpose_bitwise(problem16):
-    # B' is built once per system; its products equal those of B.T bit for
-    # bit, and a copy with a different B gets its own transpose.
-    system = problem16.system
-    rng = np.random.default_rng(16)
-    for _ in range(3):
-        p = rng.standard_normal(system.n_p)
-        assert np.array_equal(system.Bt @ p, system.B.T @ p)
-    assert system.Bt is system.prepare().Bt
-    scaled = dataclasses.replace(system, B=2.0 * system.B)
-    p = rng.standard_normal(system.n_p)
-    assert np.array_equal(scaled.Bt @ p, scaled.B.T @ p)
-    assert system.Bt is not scaled.Bt
-
-
 @pytest.mark.parametrize("block, solve", [("A", "a_solve"), ("Mp", "m_solve")])
 def test_copy_with_new_matrix_solves_with_its_own_factor(problem4, block, solve):
     # A copy with a different A (or Mp) is a new system: it must not solve

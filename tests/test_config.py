@@ -1,14 +1,19 @@
 import dataclasses
 import inspect
+import itertools
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biotfs as bf
 from biotfs.config import (
+    _FIELDS,
     ConfigError,
     SpectralConfig,
     SweepGrid,
@@ -107,6 +112,12 @@ def test_bad_values_name_the_field():
         parse_config("[mesh]\nn = 4 4\n")
     with pytest.raises(ConfigError, match="inv_m"):
         parse_config("[solver]\nL = 0\n")
+    # Relative tolerances lie in (0, 1): tol = 5 gave a one-step "converged"
+    # estimate and eps_r = 2 one-iteration steps.
+    with pytest.raises(ConfigError, match="spectral tol must be positive"):
+        parse_config("[spectral]\ntol = 5\n")
+    with pytest.raises(ConfigError, match="eps_r must be positive"):
+        parse_config("[solver]\neps_r = 2\n")
 
 
 def test_zero_stabilization_checked_after_every_section():
@@ -146,6 +157,14 @@ def test_hash_deterministic_and_sensitive():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.ini")
+
+
+def test_load_config_non_utf8_file(tmp_path):
+    # Once a UnicodeDecodeError traceback with exit 1.
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"[mesh]\nn = 4\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(bad)
 
 
 def test_non_default_hash_is_stable():
@@ -332,3 +351,74 @@ def test_public_surface_is_what_readme_and_perfbench_read():
                 if not name.startswith("_") and not inspect.ismodule(value)}
     errors = {"ConvergenceError", "FactorizationError", "EstimationError"}
     assert exported - read == errors
+
+
+# The parse contract, over generated input: a config text (or file) either
+# raises ConfigError or gives a config whose dataclasses all rebuild
+# unchanged, so every value passed its dataclass's checks. Nothing is run
+# from the parsed config.
+KEYS = [(section, key) for section, key, _, _ in _FIELDS]
+# canonical_text has one line per _FIELDS row, in order.
+DEFAULT_VALUES = dict(zip(KEYS, (line.partition("=")[2] for line in
+                                 canonical_text(bf.default_config()).splitlines())))
+BOUNDARY_VALUES = [
+    "0", "-0.0", "1", "-1", "2", "0.5", "1e-6", "0.999999", "1.0", "1e-300", "5e-324",
+    "1e300", "-1e308", "1.7976931348623157e308", "1e999", "nan", "inf", "-inf",
+    "99999999999999999999999", "optimal", "fine", "coarse", "manufactured", "zero",
+    "4 8", "4, 8", "", "abc", "0x10", "1_000",
+]
+VALUE_TEXTS = st.one_of(
+    st.sampled_from(BOUNDARY_VALUES),
+    st.floats().map(repr),
+    st.integers(-2**70, 2**70).map(str),
+    st.lists(st.integers(-3, 40), max_size=3).map(lambda ns: " ".join(map(str, ns))),
+    st.text(max_size=8),
+)
+# Every key in its section, two keys of no section in [DEFAULT] (which
+# reaches every section) and two unknown names.
+ENTRIES = st.sampled_from(KEYS + [("DEFAULT", "n"), ("DEFAULT", "tol"),
+                                  ("unknown", "n"), ("solver", "unknown")]).flatmap(
+    lambda sk: st.tuples(st.just(sk), st.just(DEFAULT_VALUES.get(sk, "")) | VALUE_TEXTS))
+
+
+def _config_text(entries, header_per_entry):
+    """The entries as INI text: under one header per section, or under a
+    header of their own, which repeats a section that has two entries."""
+    if header_per_entry:
+        return "".join(f"[{s}]\n{k} = {v}\n" for (s, k), v in entries)
+    sections = {}
+    for (section, key), value in entries:
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    return "".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
+
+
+def _assert_parse_contract(parse, source):
+    try:
+        cfg = parse(source)
+    except ConfigError:
+        return
+    for part in (cfg, cfg.material, cfg.temporal, cfg.sweep, cfg.spectral):
+        assert dataclasses.replace(part) == part
+
+
+def test_every_key_at_every_boundary_value_is_an_error_or_a_valid_config():
+    for (section, key), value in itertools.product(KEYS, BOUNDARY_VALUES):
+        _assert_parse_contract(parse_config, f"[{section}]\n{key} = {value}\n")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(entries=st.lists(ENTRIES, max_size=6), header_per_entry=st.booleans())
+def test_generated_config_text_is_an_error_or_a_valid_config(entries, header_per_entry):
+    _assert_parse_contract(parse_config, _config_text(entries, header_per_entry))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.binary(max_size=64)
+       | st.builds(lambda entries, tail: _config_text(entries, False).encode() + tail,
+                   st.lists(ENTRIES, max_size=4), st.binary(max_size=4)))
+def test_generated_config_file_is_an_error_or_a_valid_config(data):
+    # hypothesis rejects function-scoped fixtures such as tmp_path.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generated.ini"
+        path.write_bytes(data)
+        _assert_parse_contract(load_config, path)

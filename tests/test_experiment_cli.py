@@ -382,11 +382,14 @@ def test_cli_config_error_exit(tmp_path, capsys):
     ["solve", "--mesh-n", "2", "--L", "1e-11", "--out", "taken"],
     ["verify", "--out", "taken"],
     ["estimate", "--mesh-n", "2", "--dump-matrices", "file"],
-    ["sweep", "--mesh-n", "2", "--out", "sweep.csv"],  # its sidecar is "taken"
-], ids=["solve-out", "verify-out", "estimate-dumps", "sweep-sidecar"])
+    ["sweep", "--mesh-n", "2", "--out", "sweep.csv"],  # its sidecar is a directory
+    ["solve", "--mesh-n", "2", "--L", "1e-11", "--out", "file/report.json"],
+], ids=["solve-out", "verify-out", "estimate-dumps", "sweep-sidecar", "out-under-file"])
 def test_cli_unwritable_output_is_a_one_line_error(tmp_path, argv):
     # Each of these once ran the whole command and then ended in a traceback
-    # with exit 1, a code the CLI does not document.
+    # with exit 1, a code the CLI does not document. The outputs are checked
+    # before any work: verify once printed its table first and sweep left
+    # its CSV behind.
     (tmp_path / "taken").mkdir()
     (tmp_path / "sweep.csv.json").mkdir()
     (tmp_path / "file").write_text("", encoding="utf-8")
@@ -397,6 +400,8 @@ def test_cli_unwritable_output_is_a_one_line_error(tmp_path, argv):
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("cannot write output: ")
     assert run.stderr.count("\n") == 1
+    assert run.stdout == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["file", "sweep.csv.json", "taken"]
 
 
 def test_cli_sweep_outputs(tmp_path, capsys):

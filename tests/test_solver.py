@@ -20,6 +20,8 @@ def test_solver_config_validation():
         bf.SolverConfig(L=-1.0)
     with pytest.raises(ValueError):
         bf.SolverConfig(L=1.0, eps_r=0.0)
+    with pytest.raises(ValueError, match="eps_r must be positive"):
+        bf.SolverConfig(L=1.0, eps_r=1.0)  # a relative tolerance of 1 stops every step at once
     with pytest.raises(ValueError):
         bf.SolverConfig(L=1.0, max_iter=0)
 
@@ -34,6 +36,11 @@ def test_time_grid_validation_and_step_count():
         bf.TimeGrid(t0=0.0, tau=-0.1, t_end=1.0)
     with pytest.raises(ValueError):
         bf.TimeGrid(t0=1.0, tau=0.1, t_end=0.5)
+    # A step count below one once gave a grid of 0 steps, and one that
+    # overflows an OverflowError from round().
+    for tau in (1e10, 5e-324):
+        with pytest.raises(ValueError, match="positive integer"):
+            bf.TimeGrid(t0=0.0, tau=tau, t_end=1.0)
 
 
 def test_fixed_stress_step_zero_data_fixed_point(params):
@@ -416,12 +423,14 @@ def test_built_problem_factors_nothing_after_build(params, monkeypatch):
 
 
 def test_built_problem_factors_a_first(params):
-    # The factor of A is built before that of Mp and before B': at n=64 the
-    # other orders peaked 164 MB against 146 MB. The cached names enter the
-    # instance dict in the order they were built.
+    # The factor of A is built before that of Mp: at n=64 the other orders
+    # peaked 164 MB against 146 MB. The cached names enter the instance dict
+    # in the order they were built, and every instance attribute that is not
+    # a field is listed, so no other cache can appear unnoticed.
     system = bf.build_problem(4, params, sources=None).system
-    cached = [name for name in vars(system) if name in ("a_solve", "m_solve", "Bt")]
-    assert cached == ["a_solve", "m_solve", "Bt"]
+    fields = {f.name for f in dataclasses.fields(system)}
+    cached = [name for name in vars(system) if name not in fields]
+    assert cached == ["a_solve", "m_solve"]
 
 
 def test_fixed_stress_solve_concurrent_l_values_match_serial(problem8, params):

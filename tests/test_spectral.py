@@ -263,13 +263,13 @@ def test_estimate_k_star_rejects_an_uncertified_value(problem4):
 
 
 @pytest.mark.parametrize("kwargs", [{"maxit": 0}, {"maxit": 2.5}, {"tol": np.nan},
-                                    {"tol": np.inf}, {"tol": 0.0}],
-                         ids=["maxit0", "maxit2.5", "tol_nan", "tol_inf", "tol0"])
+                                    {"tol": np.inf}, {"tol": 0.0}, {"tol": 1.0}],
+                         ids=["maxit0", "maxit2.5", "tol_nan", "tol_inf", "tol0", "tol1"])
 @pytest.mark.parametrize("estimator", ["spectrum", "k_star"])
 def test_estimators_reject_bad_arguments(problem4, estimator, kwargs):
     # maxit = 0 used to fall off the Lanczos loop, maxit = 2.5 failed inside
-    # range() and tol = nan used to run to the step cap; each must fail
-    # before the first step.
+    # range(), tol = nan used to run to the step cap and tol = 1 stopped
+    # after one step, "converged"; each must fail before the first step.
     with pytest.raises(ValueError, match="finite tol > 0 and maxit >= 1"):
         if estimator == "spectrum":
             bf.estimate_spectrum(problem4.system, **kwargs)
