@@ -5,8 +5,8 @@ configuration, picks the meshes and writes --dump-matrices once for every
 command, after checking that every output can be written; each cmd_*
 function then only builds its report, writes it and returns the exit code.
 Exit codes: 0 success, 2 configuration error (an unreadable config file
-included) or an output that cannot be written, 3 numerical divergence, 4
-verification failure.
+included), an output that cannot be written or an input too large to
+allocate, 3 numerical divergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -182,6 +182,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:  # reading the config raises ConfigError instead
         print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # an input that passed its checks but not the RAM
+        print(f"cannot allocate: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -25,7 +25,7 @@ from numbers import Integral
 import numpy as np
 
 from .assembly import MaterialParams
-from .solver import SolverConfig, TimeGrid
+from .solver import MAX_ENTRIES, SolverConfig, TimeGrid
 
 
 class ConfigError(ValueError):
@@ -48,8 +48,8 @@ class SweepGrid:
             )
         if not isinstance(self.count, Integral):
             raise ConfigError(f"sweep count must be an integer, got {self.count!r}")
-        if self.count < 2:
-            raise ConfigError(f"sweep count must be at least 2, got {self.count}")
+        if not 2 <= self.count <= MAX_ENTRIES:  # more D values than an array holds
+            raise ConfigError(f"sweep count must be from 2 to {MAX_ENTRIES}, got {self.count}")
 
     def values(self):
         return np.linspace(self.d_min, self.d_max, self.count)
@@ -100,6 +100,8 @@ class ExperimentConfig:
         ns = self.mesh_ns
         if not ns or not all(isinstance(n, Integral) for n in ns) or min(ns) < 2:
             raise ConfigError(f"mesh sizes must be integers of at least 2, got {self.mesh_ns}")
+        if (int(max(ns)) + 1) ** 2 > MAX_ENTRIES:  # vertices no array can index
+            raise ConfigError(f"mesh size {max(ns)} is too large to index its vertices")
         if len(set(self.mesh_ns)) != len(self.mesh_ns):
             raise ConfigError(f"mesh sizes must be distinct, got {self.mesh_ns}")
         if self.sources not in ("manufactured", "zero"):
@@ -211,6 +213,9 @@ def parse_config(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    if parser.defaults():  # configparser would copy them into every section
+        raise ConfigError(f"[DEFAULT] {', '.join(parser.defaults())}: keys in [DEFAULT] "
+                          f"are not read; put each in its section")
     return override(default_config(), {name: parser[name] for name in parser.sections()})
 
 

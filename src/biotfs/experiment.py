@@ -1,6 +1,7 @@
 """Experiment drivers: estimates, single solves, stabilization sweeps and a
 verification battery. Each report is the plain dict its JSON prints; the
-sweep's CSV is a view of its rows.
+sweep's CSV is a view of its rows. A multi-mesh report holds one mesh's
+problem, and so its factors, at a time.
 
 Report schemas (stable within a major version):
 
@@ -93,11 +94,7 @@ def estimates_to_dict(n: int, est: SpectralEstimates) -> dict:
 def estimate_report(cfg: ExperimentConfig, mesh_ns=None) -> dict:
     """Spectral estimates and derived parameters for every requested mesh."""
     ns = tuple(mesh_ns) if mesh_ns else cfg.mesh_ns
-    meshes = []
-    for n in ns:
-        problem = _problem(cfg, n)
-        est = _estimates(cfg, problem)
-        meshes.append(estimates_to_dict(n, est))
+    meshes = [estimates_to_dict(n, _estimates(cfg, _problem(cfg, n))) for n in ns]
     return _report("estimate", config_hash(cfg), mode=cfg.spectral.mode, meshes=meshes)
 
 
@@ -134,6 +131,20 @@ def solve_report(cfg: ExperimentConfig, n: int) -> dict:
     )
 
 
+def _sweep_mesh(cfg: ExperimentConfig, n: int):
+    """Mesh n's estimate entry and sweep rows; its problem dies with the call."""
+    problem = _problem(cfg, n)
+    est = _estimates(cfg, problem)
+    rows = []
+    for d_value in cfg.sweep.values():
+        L = float(cfg.material.alpha**2 / d_value)
+        solver = SolverConfig(L=L, eps_r=cfg.eps_r, max_iter=cfg.max_iter)
+        result = time_march(problem, solver, cfg.temporal)
+        rows.append({"n": n, "h": 1.0 / n, "D": float(d_value), "L": L,
+                     "avg_iterations": result.average, "diverged": result.diverged})
+    return estimates_to_dict(n, est), rows
+
+
 def sweep_report(cfg: ExperimentConfig, mesh_ns=None) -> dict:
     """Run the stabilization sweep over every (mesh, D) pair; the result is
     the JSON sidecar document, and `sweep_csv` renders its rows.
@@ -142,24 +153,13 @@ def sweep_report(cfg: ExperimentConfig, mesh_ns=None) -> dict:
     and the divergence flag set; an exception from a row propagates.
     """
     ns = tuple(mesh_ns) if mesh_ns else cfg.mesh_ns
-    alpha = cfg.material.alpha
-    rows = []
-    estimates = {}
-    for n in sorted(ns):
-        problem = _problem(cfg, n)
-        estimates[n] = _estimates(cfg, problem)
-        for d_value in cfg.sweep.values():
-            L = float(alpha**2 / d_value)
-            solver = SolverConfig(L=L, eps_r=cfg.eps_r, max_iter=cfg.max_iter)
-            result = time_march(problem, solver, cfg.temporal)
-            rows.append({"n": n, "h": 1.0 / n, "D": float(d_value), "L": L,
-                         "avg_iterations": result.average, "diverged": result.diverged})
+    per_mesh = {str(n): _sweep_mesh(cfg, n) for n in sorted(ns)}
     return _report(
         "sweep",
         config_hash(cfg),
-        rows=rows,
-        estimates={str(n): estimates_to_dict(n, est) for n, est in estimates.items()},
-        predicted_d_opt={str(n): est.d_opt for n, est in estimates.items()},
+        rows=[row for _, rows in per_mesh.values() for row in rows],
+        estimates={key: est for key, (est, _) in per_mesh.items()},
+        predicted_d_opt={key: est["d_opt"] for key, (est, _) in per_mesh.items()},
     )
 
 

@@ -39,6 +39,10 @@ NORM_FLOOR = 1e-300
 # Iterates beyond this norm are declared divergent before they can overflow.
 DIVERGENCE_GUARD = 1e130
 
+# The most entries numpy can size in one array at 16 bytes each (a pair of
+# float64); a larger step or vertex count is an input error.
+MAX_ENTRIES = np.iinfo(np.intp).max // 16
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -80,10 +84,12 @@ class TimeGrid:
             raise ValueError(f"tau must be positive, got {self.tau}")
         span = self.t_end - self.t0
         steps = span / self.tau
-        # An overflowed span or step count is rejected before round() meets it.
-        if not 0.0 < steps < np.inf or abs(steps - round(steps)) > 1e-9 * steps:
+        # An overflowed span, or more steps than an array can hold, is
+        # rejected before round() or times() meets it.
+        if not 0.0 < steps <= MAX_ENTRIES or abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(
-                f"(t_end - t0)/tau must be a positive integer, got {steps}"
+                f"(t_end - t0)/tau must be a positive integer of at most {MAX_ENTRIES}, "
+                f"got {steps}"
             )
 
     @property

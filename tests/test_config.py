@@ -88,6 +88,16 @@ def test_unknown_key_rejected():
         parse_config("[material]\nnu = 0.3\n")
 
 
+@pytest.mark.parametrize("text, keys", [
+    ("[DEFAULT]\nn = 4\n", "n"),  # was ignored: the run used meshes 16 32 64 128
+    ("[DEFAULT]\nseed = 7\n[mesh]\n", "seed"),  # was blamed on [mesh]
+], ids=["alone", "with-mesh"])
+def test_default_section_rejected(text, keys):
+    with pytest.raises(ConfigError, match=rf"^\[DEFAULT\] {keys}: "):
+        parse_config(text)
+    assert parse_config("[DEFAULT]\n") == bf.default_config()  # an empty header is harmless
+
+
 def test_removed_inner_tol_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[solver]\ninner_tol = 1e-12\n")
@@ -374,8 +384,8 @@ VALUE_TEXTS = st.one_of(
     st.lists(st.integers(-3, 40), max_size=3).map(lambda ns: " ".join(map(str, ns))),
     st.text(max_size=8),
 )
-# Every key in its section, two keys of no section in [DEFAULT] (which
-# reaches every section) and two unknown names.
+# Every key in its section, two keys of no section in [DEFAULT] (an error
+# whatever they hold) and two unknown names.
 ENTRIES = st.sampled_from(KEYS + [("DEFAULT", "n"), ("DEFAULT", "tol"),
                                   ("unknown", "n"), ("solver", "unknown")]).flatmap(
     lambda sk: st.tuples(st.just(sk), st.just(DEFAULT_VALUES.get(sk, "")) | VALUE_TEXTS))

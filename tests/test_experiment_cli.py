@@ -336,7 +336,8 @@ def test_cli_solve_requires_single_mesh(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--L", "-1"], ["--L", "nan"], ["--seed", "-1"], ["--mesh-n", "1"], ["--L", "0"]],
+    [["--L", "-1"], ["--L", "nan"], ["--seed", "-1"], ["--mesh-n", "1"], ["--L", "0"],
+     ["--mesh-n", "99999999999999999999999"]],  # once a traceback from the mesh build
 )
 def test_cli_rejects_bad_override(capsys, flags):
     assert main(["solve", "--mesh-n", "4", *flags]) == 2
@@ -402,6 +403,54 @@ def test_cli_unwritable_output_is_a_one_line_error(tmp_path, argv):
     assert run.stderr.count("\n") == 1
     assert run.stdout == ""
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["file", "sweep.csv.json", "taken"]
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (["estimate", "--mesh-n", "2"], None, 0),
+    (["solve", "--mesh-n", "2", "--L", "1e-11"], None, 0),
+    (["solve", "--mesh-n", "8", "--L", "1e-13"], None, 3),
+    (["verify"], None, 4),  # the known red row
+    # Each of these once parsed and then ended in a traceback with exit 1,
+    # or ran on values that certify nothing.
+    (["solve", "--mesh-n", "2", "--L", "1e-11"], "[temporal]\ntau = 1e-300\n", 2),
+    (["estimate"], "[mesh]\nn = 99999999999999999999999\n", 2),
+    (["estimate", "--mesh-n", "99999999999999999999999"], None, 2),
+    (["sweep", "--mesh-n", "2"], "[sweep]\ncount = 99999999999999999999999\n", 2),
+    (["estimate"], "[DEFAULT]\nn = 4\n", 2),
+    (["estimate", "--mesh-n", "2"], "[DEFAULT]\nseed = 7\n[mesh]\n", 2),
+    (["estimate", "--mesh-n", "2"], "[spectral]\ntol = 5\n", 2),
+    (["solve", "--mesh-n", "2", "--L", "1e-11"], "[solver]\neps_r = 2\n", 2),
+    (["estimate", "--mesh-n", "2"], "[material]\nkappa = 1\n", 2),
+    (["solve", "--mesh-n", "2"], "[solver]\nL = 0\n[material]\ninv_m = 0\n", 2),
+    (["estimate", "--mesh-n", "2"], b"[mesh]\nn = 4\xff\n", 2),  # not UTF-8
+], ids=["estimate", "solve", "diverged", "verify", "tau-1e-300", "n-1e23", "mesh-n-1e23",
+        "sweep-count-1e23", "default-alone", "default-with-mesh", "spectral-tol-5", "eps_r-2",
+        "kappa-1", "L-0-inv_m-0", "not-utf8"])
+def test_cli_input_exits_with_its_code(tmp_path, capsys, argv, config, code):
+    # Every input either runs or fails as one line: no test here allocates
+    # what it probes, since each input that is too large fails at the parse.
+    if config is not None:
+        path = tmp_path / "exp.ini"
+        path.write_bytes(config if isinstance(config, bytes) else config.encode())
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith(("config error: ", "cannot read"))
+
+
+def test_cli_memory_error_is_a_one_line_error(monkeypatch, capsys):
+    # An input that passes its checks but not the machine's memory, such as
+    # --mesh-n 100000 (74.5 GiB), exits 2 with one line, not a traceback.
+    import biotfs.cli
+
+    def exhausted(cfg, mesh_ns):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(biotfs.cli, "estimate_report", exhausted)
+    assert main(["estimate", "--mesh-n", "2"]) == 2
+    assert capsys.readouterr().err == "cannot allocate: Unable to allocate 74.5 GiB for an array\n"
 
 
 def test_cli_sweep_outputs(tmp_path, capsys):
@@ -562,6 +611,32 @@ def test_sweep_copies_share_two_factors(monkeypatch):
     report = sweep_report(bf.default_config(), mesh_ns=(4,))
     assert len(report["rows"]) == 31
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("report", [estimate_report, sweep_report])
+def test_multi_mesh_reports_hold_one_problem_at_a_time(monkeypatch, small_cfg, report):
+    # A mesh's problem, with its factors of A and Mp, is dead before the
+    # next mesh is built, so a refinement study peaks at its largest mesh
+    # alone; once the n = 64 problem was alive while n = 128's was factored.
+    import gc
+    import weakref
+
+    import biotfs.experiment
+
+    built = []
+    original = biotfs.experiment.build_problem
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        assert [ref() for ref in built if ref() is not None] == []
+        problem = original(*args, **kwargs)
+        built.append(weakref.ref(problem))
+        return problem
+
+    monkeypatch.setattr(biotfs.experiment, "build_problem", tracked)
+    cfg = dataclasses.replace(small_cfg, sweep=SweepGrid(0.9e11, 1.5e11, 2))
+    report(cfg, mesh_ns=(2, 3))
+    assert len(built) == 2
 
 
 def test_dump_matrices_factors_nothing(tmp_path, monkeypatch, capsys):
