@@ -77,14 +77,16 @@ class BiotSystem:
 
     A acts on the free displacement dofs, Mp on the interior pressure dofs
     and B maps free displacements to interior pressures; products with B'
-    read `B.T`. The factors of A and Mp are built once per system, on first
+    read `B.T`. A and Mp are stored as canonical CSC, the format SuperLU
+    factors, so `factorize` reads their own arrays and no second copy of A
+    exists while it is factored; B, never factored, is CSR. The factors of A and Mp are built once per system, on first
     use or by `prepare()`; a new matrix means a new system. The loads of a
     time step are not part of it: the solves take them as arguments.
     """
 
-    A: sp.csr_matrix
+    A: sp.csc_matrix
     B: sp.csr_matrix
-    Mp: sp.csr_matrix
+    Mp: sp.csc_matrix
     params: MaterialParams
 
     @property
@@ -129,9 +131,15 @@ def _u_dof_indices(dofs: DofMap) -> np.ndarray:
 
 def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape):
     """Sum local matrices into a global CSR; scipy's COO to CSR conversion
-    sums duplicates and sorts the indices, so the result is canonical."""
-    rows = np.broadcast_to(rows, local.shape)
-    cols = np.broadcast_to(cols, local.shape)
+    sums duplicates and sorts the indices, so the result is canonical.
+
+    The COO index arrays are the assembly's largest temporaries. They are
+    int32, SuperLU's index type, whenever max(shape) fits in it, and int64
+    otherwise.
+    """
+    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    rows = np.broadcast_to(np.asarray(rows, dtype=index), local.shape)
+    cols = np.broadcast_to(np.asarray(cols, dtype=index), local.shape)
     return sp.coo_matrix(
         (local.ravel(), (rows.ravel(), cols.ravel())), shape=shape
     ).tocsr()
@@ -284,7 +292,8 @@ def apply_boundary_conditions(
     """Eliminate Dirichlet rows/columns and bundle the reduced operators.
 
     Homogeneous data only: constrained dofs are removed outright, which
-    preserves symmetry and definiteness exactly.
+    preserves symmetry and definiteness exactly. The reduced A and Mp are
+    stored as canonical CSC, B as CSR.
     """
     free_u, free_p = dofs.free_u, dofs.free_p
     if free_p.size == 0:
@@ -292,9 +301,9 @@ def apply_boundary_conditions(
             "no interior pressure dofs; use at least 2 subdivisions per side"
         )
     return BiotSystem(
-        A=A[free_u][:, free_u].tocsr(),
+        A=A[free_u][:, free_u].tocsc(),
         B=B[free_p][:, free_u].tocsr(),
-        Mp=Mp[free_p][:, free_p].tocsr(),
+        Mp=Mp[free_p][:, free_p].tocsc(),
         params=params,
     )
 

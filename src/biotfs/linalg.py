@@ -1,6 +1,6 @@
 """Sparse and dense linear algebra helpers.
 
-CSR storage, factorizations, the energy norm, the dense generalized
+Factorizations of CSC matrices, the energy norm, the dense generalized
 eigensolver and the Matrix Market writer, all backed by scipy. The iterative
 solves live with their operators: Lanczos in `spectral`, the Schur
 complement CG in `solver.monolithic_solve`. The dense eigensolver is only
@@ -76,19 +76,24 @@ def factorize(A) -> Factorization:
     Raises FactorizationError if the matrix is visibly not SPD (asymmetric,
     nonpositive diagonal) or if the factorization hits a zero pivot.
     The ordering is minimum degree on A + A' = 2A, in SuperLU's symmetric mode.
+    A canonical CSC matrix with int32 indices, as `BiotSystem` stores A and
+    Mp, is factored from its own arrays; any other input is first copied
+    into that form.
     """
-    A = sp.csr_matrix(A)
+    if not (sp.issparse(A) and A.format == "csc" and A.has_canonical_format):
+        A = sp.csc_matrix(A, copy=True)
+        A.sum_duplicates()
     if A.shape[0] != A.shape[1]:
         raise FactorizationError(f"matrix is not square: {A.shape}")
-    scale = float(abs(A).max()) if A.nnz else 0.0
-    asym = float(abs(A - A.T).max()) if A.nnz else 0.0
+    scale = float(np.abs(A.data).max(initial=0.0))
+    asym = float(np.abs((A - A.T).data).max(initial=0.0))
     if asym > 1e-10 * max(scale, 1e-300):
         raise FactorizationError("matrix is not symmetric")
     diag = A.diagonal()
     if np.any(diag <= 0.0):
         raise FactorizationError("matrix has a nonpositive diagonal entry")
     try:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError as exc:  # singular pivot
         raise FactorizationError(f"factorization failed: {exc}") from exc
     return Factorization(lu, A.shape)
@@ -107,5 +112,6 @@ def dense_generalized_symmetric_eigen(S, M):
 
 
 def save_matrix_market(path, A) -> None:
-    """Write a sparse matrix in Matrix Market coordinate format."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(A))
+    """Write a sparse matrix in Matrix Market coordinate format, its entries
+    in row-major order whatever the storage format of A."""
+    scipy.io.mmwrite(str(path), sp.coo_matrix(sp.csr_matrix(A)))

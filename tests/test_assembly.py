@@ -7,6 +7,7 @@ import biotfs as bf
 from biotfs.assembly import (
     BiotSystem,
     _p2_physical_gradients,
+    _scatter,
     assemble_coupling,
     assemble_divdiv,
     assemble_elasticity,
@@ -192,6 +193,28 @@ def test_assembled_matrices_canonical(params):
         for row in range(mat.shape[0]):
             cols = mat.indices[mat.indptr[row]:mat.indptr[row + 1]]
             assert np.all(np.diff(cols) > 0)
+
+
+def test_scatter_index_type_follows_the_shape():
+    # int32 while max(shape) fits in it; beyond that int64, so an entry at
+    # column 2**31 survives. The CSR of one row needs no large array.
+    small = _scatter(np.ones((1, 1)), np.array([[0]]), np.array([[2]]), (1, 3))
+    assert small.indices.dtype == small.indptr.dtype == np.int32
+    big = 2**31
+    wide = _scatter(np.full((1, 1), 2.5), np.array([[0]]), np.array([[big]]), (1, big + 1))
+    assert wide.indices.dtype == np.int64
+    assert wide.indices.tolist() == [big] and wide.indptr.tolist() == [0, 1]
+    assert wide.data.tolist() == [2.5]
+
+
+def test_reduced_a_and_mp_are_stored_in_the_format_superlu_factors(params):
+    # A and Mp are canonical CSC with int32 indices, the arrays SuperLU
+    # reads; B, never factored, stays CSR.
+    system = bf.build_problem(4, params, sources=None).system
+    for mat in (system.A, system.Mp):
+        assert mat.format == "csc" and mat.has_canonical_format
+        assert mat.indices.dtype == mat.indptr.dtype == np.int32
+    assert system.B.format == "csr"
 
 
 def test_physical_bulk_modulus_inequality(params):

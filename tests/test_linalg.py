@@ -56,6 +56,38 @@ def test_factorize_rejects_non_spd():
         factorize(singular)
 
 
+def test_factorize_hands_superlu_the_arrays_of_a_csc_input(params, monkeypatch):
+    # No copy of A is made for the factorization: SuperLU reads the stored
+    # CSC arrays themselves.
+    import biotfs.linalg
+
+    A = bf.build_problem(4, params, sources=None).system.A
+    seen = []
+    original = biotfs.linalg.spla.splu
+    monkeypatch.setattr(biotfs.linalg.spla, "splu",
+                        lambda M, **kwargs: seen.append(M) or original(M, **kwargs))
+    factorize(A)
+    (M,) = seen
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(M, name), getattr(A, name))
+
+
+def test_factorize_copies_csr_and_unsorted_csc_input_untouched():
+    dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+    canon = sp.csc_matrix(dense)
+    data, indices = canon.data.copy(), canon.indices.copy()
+    for j in range(3):  # reverse the row order within each column
+        col = slice(canon.indptr[j], canon.indptr[j + 1])
+        data[col], indices[col] = data[col][::-1], indices[col][::-1]
+    unsorted = sp.csc_matrix((data, indices, canon.indptr.copy()), shape=(3, 3))
+    b = np.array([1.0, -2.0, 0.5])
+    for A in (sp.csr_matrix(dense), unsorted):
+        before = [arr.copy() for arr in (A.data, A.indices, A.indptr)]
+        assert np.abs(factorize(A).solve(b) - np.linalg.solve(dense, b)).max() <= 1e-14
+        for arr, old in zip((A.data, A.indices, A.indptr), before):
+            assert np.array_equal(arr, old)
+
+
 def test_dense_eigen_diag_fixture():
     w, v = bf.dense_generalized_symmetric_eigen(np.diag([1.0, 2.0, 3.0]), np.eye(3))
     assert np.abs(w - np.array([1.0, 2.0, 3.0])).max() <= 1e-14
@@ -128,6 +160,16 @@ def test_matrix_market_round_trip(tmp_path, params):
     back = scipy.io.mmread(path).tocsr()
     assert back.shape == system.A.shape
     assert abs(back - system.A).max() <= 1e-12 * abs(system.A).max()
+
+
+def test_matrix_market_writes_row_major_whatever_the_format(tmp_path):
+    # CSR and CSC forms of one asymmetric matrix give the same bytes.
+    dense = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 5.0, 6.0]])
+    paths = []
+    for fmt in ("csr", "csc"):
+        paths.append(tmp_path / f"{fmt}.mtx")
+        save_matrix_market(paths[-1], sp.csr_matrix(dense).asformat(fmt))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_factorize_fill_at_n16(params):
