@@ -79,9 +79,10 @@ class BiotSystem:
     and B maps free displacements to interior pressures; products with B'
     read `B.T`. A and Mp are stored as canonical CSC, the format SuperLU
     factors, so `factorize` reads their own arrays and no second copy of A
-    exists while it is factored; B, never factored, is CSR. The factors of A and Mp are built once per system, on first
-    use or by `prepare()`; a new matrix means a new system. The loads of a
-    time step are not part of it: the solves take them as arguments.
+    exists while it is factored; B, never factored, is CSR. The factors of
+    A and Mp are built once per system, on first use or by `prepare()`; a
+    new matrix means a new system. The loads of a time step are not part of
+    it: the solves take them as arguments.
     """
 
     A: sp.csc_matrix
@@ -133,9 +134,8 @@ def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape):
     """Sum local matrices into a global CSR; scipy's COO to CSR conversion
     sums duplicates and sorts the indices, so the result is canonical.
 
-    The COO index arrays are the assembly's largest temporaries. They are
-    int32, SuperLU's index type, whenever max(shape) fits in it, and int64
-    otherwise.
+    The COO index arrays, each as long as `local`, are int32, SuperLU's
+    index type, whenever max(shape) fits in it, and int64 otherwise.
     """
     index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
     rows = np.broadcast_to(np.asarray(rows, dtype=index), local.shape)

@@ -207,10 +207,10 @@ def test_scatter_index_type_follows_the_shape():
     assert wide.data.tolist() == [2.5]
 
 
-def test_reduced_a_and_mp_are_stored_in_the_format_superlu_factors(params):
+def test_reduced_a_and_mp_are_stored_in_the_format_superlu_factors(problem4):
     # A and Mp are canonical CSC with int32 indices, the arrays SuperLU
     # reads; B, never factored, stays CSR.
-    system = bf.build_problem(4, params, sources=None).system
+    system = problem4.system
     for mat in (system.A, system.Mp):
         assert mat.format == "csc" and mat.has_canonical_format
         assert mat.indices.dtype == mat.indptr.dtype == np.int32

@@ -56,16 +56,13 @@ def test_factorize_rejects_non_spd():
         factorize(singular)
 
 
-def test_factorize_hands_superlu_the_arrays_of_a_csc_input(params, monkeypatch):
+def test_factorize_hands_superlu_the_arrays_of_a_csc_input(problem4, monkeypatch):
     # No copy of A is made for the factorization: SuperLU reads the stored
     # CSC arrays themselves.
-    import biotfs.linalg
-
-    A = bf.build_problem(4, params, sources=None).system.A
+    A = problem4.system.A
     seen = []
-    original = biotfs.linalg.spla.splu
-    monkeypatch.setattr(biotfs.linalg.spla, "splu",
-                        lambda M, **kwargs: seen.append(M) or original(M, **kwargs))
+    original = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda M, **kwargs: seen.append(M) or original(M, **kwargs))
     factorize(A)
     (M,) = seen
     for name in ("data", "indices", "indptr"):
