@@ -5,8 +5,9 @@ configuration, picks the meshes and writes --dump-matrices once for every
 command, after checking that every output can be written; each cmd_*
 function then only builds its report, writes it and returns the exit code.
 Exit codes: 0 success, 2 configuration error (an unreadable config file
-included), an output that cannot be written or an input too large to
-allocate, 3 numerical divergence, 4 verification failure.
+included), an output that cannot be written, an input too large to
+allocate or one whose spectral estimate is degenerate, 3 numerical
+divergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 
 from .config import ConfigError, default_config, load_config, override
 from .experiment import (
+    VERIFY_MESHES,
     dump_system,
     estimate_report,
     solve_report,
@@ -28,6 +30,7 @@ from .experiment import (
     sweep_report,
     verify_report,
 )
+from .spectral import EstimationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -158,7 +161,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load(args)
         if args.command == "verify":
-            ns = (4, 8)  # the battery's meshes
+            ns = VERIFY_MESHES
         elif args.mesh_n is not None:  # checked like [mesh] n, but not hashed
             ns = replace(cfg, mesh_ns=(args.mesh_n,)).mesh_ns
         else:
@@ -185,6 +188,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MemoryError as exc:  # an input that passed its checks but not the RAM
         print(f"cannot allocate: {exc or 'out of memory'}", file=sys.stderr)
+        return EXIT_CONFIG
+    except EstimationError as exc:  # an accepted input whose pencil degenerates
+        print(f"cannot estimate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -54,6 +54,10 @@ from .spectral import (
     schur_apply,
 )
 
+# The meshes of the verification battery: the dense oracle mesh, then the
+# mesh of the Richardson and contraction checks. --dump-matrices reads them.
+VERIFY_MESHES = (4, 8)
+
 
 def _problem(cfg: ExperimentConfig, n: int) -> TransientProblem:
     sources = MANUFACTURED_SOURCES if cfg.sources == "manufactured" else None
@@ -230,7 +234,7 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     seed = cfg.spectral.seed
 
     # Small dense oracle mesh.
-    prob4 = build_problem(4, params)
+    prob4 = build_problem(VERIFY_MESHES[0], params)
     sys4 = prob4.system
     mp4, w, _ = _dense_pencil(sys4)
     lam_min_d, lam_max_d = float(w[0]), float(w[-1])
@@ -264,7 +268,7 @@ def verify_report(cfg: ExperimentConfig) -> dict:
 
     # Richardson equivalence and contraction on a slightly larger mesh,
     # under the first-step loads of the built-in sources.
-    prob8 = build_problem(8, params)
+    prob8 = build_problem(VERIFY_MESHES[1], params)
     sys8, tau = prob8.system, cfg.temporal.tau
     f8, g8 = step_loads(prob8, tau, tau, np.zeros(sys8.n_u), np.zeros(sys8.n_p))
     _, w8, v8 = _dense_pencil(sys8)

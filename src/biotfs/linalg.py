@@ -17,10 +17,12 @@ symmetric input and measurably faster than the plain sweep (Li, ACM TOMS
 from __future__ import annotations
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 class FactorizationError(RuntimeError):
@@ -44,7 +46,24 @@ def m_norm(M, x: np.ndarray, Mx: np.ndarray | None = None) -> float:
         Mx = M @ x
     elif Mx.shape != x.shape:
         raise ValueError(f"Mx has shape {Mx.shape}, expected {x.shape}")
-    return float(np.sqrt(max(float(x @ Mx), 0.0)))
+    return _energy(x, Mx)
+
+
+def _energy(x: np.ndarray, Mx: np.ndarray) -> float:
+    """sqrt(x' Mx), floored at 0, for the product Mx of a positive definite
+    matrix with x.
+
+    Entries below ~1e-160 make x' Mx underflow to zero or to a subnormal
+    with few correct bits, though neither vector is zero. Only then are
+    both scaled to a largest entry of 1 before the product, so a norm that
+    is representable never reads 0; on every other input this is one dot
+    product.
+    """
+    xMx = float(x @ Mx)
+    if abs(xMx) < _TINY and x.any() and Mx.any():
+        s, t = float(np.abs(x).max()), float(np.abs(Mx).max())
+        return float(np.sqrt(max(float((x / s) @ (Mx / t)), 0.0)) * np.sqrt(s) * np.sqrt(t))
+    return float(np.sqrt(max(xMx, 0.0)))
 
 
 class Factorization:
@@ -113,5 +132,10 @@ def dense_generalized_symmetric_eigen(S, M):
 
 def save_matrix_market(path, A) -> None:
     """Write a sparse matrix in Matrix Market coordinate format, its entries
-    in row-major order whatever the storage format of A."""
+    in row-major order whatever the storage format of A.
+
+    scipy.io is imported here, not with the module: only --dump-matrices
+    writes matrices, and no other run pays for loading it."""
+    import scipy.io
+
     scipy.io.mmwrite(str(path), sp.coo_matrix(sp.csr_matrix(A)))

@@ -409,6 +409,9 @@ def test_cli_unwritable_output_is_a_one_line_error(tmp_path, argv):
     (["estimate", "--mesh-n", "2"], None, 0),
     (["solve", "--mesh-n", "2", "--L", "1e-11"], None, 0),
     (["solve", "--mesh-n", "8", "--L", "1e-13"], None, 3),
+    # From L ~ 1e160 up the pressure norms underflowed to 0, and every step
+    # converged in 2 iterations with a final pressure norm of 0.
+    (["solve", "--mesh-n", "3", "--L", "1e300"], None, 3),
     (["verify"], None, 4),  # the known red row
     # Config errors, each before any array exists. The four too large to
     # allocate once ended in a traceback with exit 1, and a lone [DEFAULT]
@@ -424,8 +427,8 @@ def test_cli_unwritable_output_is_a_one_line_error(tmp_path, argv):
     (["estimate", "--mesh-n", "2"], "[material]\nkappa = 1\n", 2),
     (["solve", "--mesh-n", "2"], "[solver]\nL = 0\n[material]\ninv_m = 0\n", 2),
     (["estimate", "--mesh-n", "2"], b"[mesh]\nn = 4\xff\n", 2),  # not UTF-8
-], ids=["estimate", "solve", "diverged", "verify", "tau-1e-300", "n-1e23", "mesh-n-1e23",
-        "sweep-count-1e23", "default-alone", "default-with-mesh", "spectral-tol-5", "eps_r-2",
+], ids=["estimate", "solve", "diverged", "L-1e300-diverged", "verify", "tau-1e-300", "n-1e23",
+        "mesh-n-1e23", "sweep-count-1e23", "default-alone", "default-with-mesh", "spectral-tol-5", "eps_r-2",
         "kappa-1", "L-0-inv_m-0", "not-utf8"])
 def test_cli_input_exits_with_its_code(tmp_path, capsys, argv, config, code):
     # Every input either runs or fails as one line: no test here allocates
@@ -452,6 +455,28 @@ def test_cli_memory_error_is_a_one_line_error(monkeypatch, capsys):
     monkeypatch.setattr(biotfs.cli, "estimate_report", exhausted)
     assert main(["estimate", "--mesh-n", "2"]) == 2
     assert capsys.readouterr().err == "cannot allocate: Unable to allocate 74.5 GiB for an array\n"
+
+
+def test_cli_degenerate_estimate_is_a_one_line_error(tmp_path, capsys):
+    # alpha = 1e-160 is in (0, 1], but the Schur product underflows to zero
+    # and the estimate raises EstimationError; it once ended in a traceback
+    # with exit 1.
+    cfg = _write_cfg(tmp_path, "[material]\nalpha = 1e-160\n")
+    assert main(["estimate", "--mesh-n", "3", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cannot estimate: the operator K of the pencil vanishes\n"
+
+
+def test_cli_import_leaves_out_scipy_io():
+    # Only --dump-matrices writes Matrix Market files; no other run loads
+    # scipy.io (test_cli_dump_matrices reads what it writes).
+    code = "import sys, biotfs.cli; print('scipy.io' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 def test_cli_sweep_outputs(tmp_path, capsys):

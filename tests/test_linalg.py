@@ -148,6 +148,19 @@ def test_m_norm_cases():
         bf.m_norm(sp.csr_matrix(M), x, Mx=np.zeros((7, 1)))
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+def test_m_norm_of_tiny_vector_does_not_underflow(scale):
+    # x' M x underflows to 0 (or to a subnormal) for entries below ~1e-160,
+    # though the norm itself is representable; the norm is rescaled then.
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal((7, 7))
+    M = sp.csr_matrix(a @ a.T + 7 * np.eye(7))
+    x = rng.standard_normal(7)
+    expected = bf.m_norm(M, x) * scale
+    assert bf.m_norm(M, x * scale) == pytest.approx(expected, rel=1e-13, abs=0)
+    assert bf.m_norm(M, x * scale, Mx=M @ x * scale) == pytest.approx(expected, rel=1e-13, abs=0)
+
+
 def test_matrix_market_round_trip(tmp_path, params):
     mesh = build_structured_mesh(3)
     dofs = build_taylor_hood_dofs(mesh)

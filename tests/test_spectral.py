@@ -121,6 +121,32 @@ def test_step_cap_sizes_no_allocation(system16):
     assert max(est.residuals) <= 1e-8
 
 
+def test_basis_growth_leaves_the_estimate_bit_identical(system16, monkeypatch):
+    # A first block of 2 rows doubles four times before the run stops;
+    # growth only copies rows, so every estimate keeps its bits.
+    import biotfs.spectral
+
+    want = bf.estimate_spectrum(system16, tol=1e-8, seed=1)
+    assert want.iterations_used[0] > 2 * 2**3
+    monkeypatch.setattr(biotfs.spectral, "BASIS_ROWS", 2)
+    assert bf.estimate_spectrum(system16, tol=1e-8, seed=1) == want
+
+
+def test_estimate_scales_with_the_moduli(params):
+    # S0 = B inv(A) B' scales as 1/mu when mu and lambda scale together, so
+    # l_opt does and rho_opt does not. At 1e289 the Lanczos energy norms
+    # fall below 1e-160, where x' M x underflows; the run once stopped after
+    # one step, certified, with rho_opt 0 and l_opt 12.5% off.
+    scale = 1e289
+    base = bf.estimate_spectrum(bf.build_problem(4, params).system, tol=1e-8, seed=1)
+    big = dataclasses.replace(params, mu=params.mu * scale, lam=params.lam * scale)
+    est = bf.estimate_spectrum(bf.build_problem(4, big).system, tol=1e-8, seed=1)
+    assert est.converged
+    assert est.iterations_used == base.iterations_used
+    assert est.l_opt * scale == pytest.approx(base.l_opt, rel=1e-12, abs=0)
+    assert est.rho_opt == pytest.approx(base.rho_opt, rel=1e-12, abs=0)
+
+
 def test_power_min_diag_fixture():
     K = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
     (low, _), _, _, _ = _extreme_eigs(
