@@ -8,7 +8,7 @@ For impermeable media the time-discrete two-field problem reads, per step,
 with A the linear elasticity operator 2*mu*(eps(u), eps(v)) + lam*(div u,
 div v), B the pressure/divergence coupling alpha*(div u, q), Mp the pressure
 mass matrix and g carrying the previous step's state plus the fluid source.
-All operators are assembled over the full dof set and then reduced by
+Each operator is assembled over the full dof set and then reduced by
 eliminating Dirichlet rows and columns. Element contractions pass
 optimize=True to np.einsum, because numpy's default generic loop is 20-50x
 slower for these shapes.
@@ -80,9 +80,11 @@ class BiotSystem:
     read `B.T`. A and Mp are stored as canonical CSC, the format SuperLU
     factors, so `factorize` reads their own arrays and no second copy of A
     exists while it is factored; B, never factored, is CSR. The factors of
-    A and Mp are built once per system, on first use or by `prepare()`; a
-    new matrix means a new system. The loads of a time step are not part of
-    it: the solves take them as arguments.
+    A and Mp are built once per system: `build_system` factors A before B
+    and Mp are assembled, and any other factor is built on first use or by
+    `prepare()`. A new matrix means a new system, which factors its own.
+    The loads of a time step are not part of it: the solves take them as
+    arguments.
     """
 
     A: sp.csc_matrix
@@ -99,8 +101,8 @@ class BiotSystem:
         return self.Mp.shape[0]
 
     def prepare(self) -> "BiotSystem":
-        """Build the factor of A, then that of Mp. With A's first, an n=64
-        run peaks 13-18 MB lower than with Mp's factor first."""
+        """Build whichever factor is missing, A's before Mp's. A's first
+        keeps an n=64 run's peak 13-18 MB lower than Mp's first."""
         self.a_solve
         self.m_solve
         return self
@@ -283,41 +285,51 @@ def manufactured_sources():
 
 
 def apply_boundary_conditions(
-    A: sp.csr_matrix,
-    B: sp.csr_matrix,
-    Mp: sp.csr_matrix,
-    dofs: DofMap,
-    params: MaterialParams,
-) -> BiotSystem:
-    """Eliminate Dirichlet rows/columns and bundle the reduced operators.
+    matrix: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray, format: str
+) -> sp.spmatrix:
+    """Eliminate the Dirichlet rows and columns of one assembled operator:
+    keep the free `rows` and `cols`, in the sparse `format` given.
 
     Homogeneous data only: constrained dofs are removed outright, which
-    preserves symmetry and definiteness exactly. The reduced A and Mp are
-    stored as canonical CSC, B as CSR.
+    preserves symmetry and definiteness exactly. Every reduced operator
+    goes through here.
     """
+    return matrix[rows][:, cols].asformat(format)
+
+
+def reduced_operators(dofs: DofMap, params: MaterialParams):
+    """Yield the reduced A (canonical CSC), B (CSR) and Mp (canonical CSC),
+    in that order. Each is assembled only when it is asked for, and its
+    full form is freed once it is reduced."""
     free_u, free_p = dofs.free_u, dofs.free_p
     if free_p.size == 0:
         raise ValueError(
             "no interior pressure dofs; use at least 2 subdivisions per side"
         )
-    return BiotSystem(
-        A=A[free_u][:, free_u].tocsc(),
-        B=B[free_p][:, free_u].tocsr(),
-        Mp=Mp[free_p][:, free_p].tocsc(),
-        params=params,
-    )
+    yield apply_boundary_conditions(assemble_elasticity(dofs, params), free_u, free_u, "csc")
+    yield apply_boundary_conditions(assemble_coupling(dofs, params.alpha), free_p, free_u, "csr")
+    yield apply_boundary_conditions(assemble_pressure_mass(dofs), free_p, free_p, "csc")
 
 
 def build_system(dofs: DofMap, params: MaterialParams) -> BiotSystem:
-    """Assemble A, B and Mp and reduce them; nothing is factored yet."""
-    A = assemble_elasticity(dofs, params)
-    B = assemble_coupling(dofs, params.alpha)
-    Mp = assemble_pressure_mass(dofs)
-    return apply_boundary_conditions(A, B, Mp, dofs, params)
+    """Assemble, reduce and factor A, then assemble and reduce B and Mp.
+
+    A's factor is built before B and Mp exist, so the system starts with it
+    in its `a_solve` cache; Mp is factored on first use or by `prepare()`.
+    Raises ValueError before any assembly when the mesh has no interior
+    pressure dofs.
+    """
+    operators = reduced_operators(dofs, params)
+    A = next(operators)
+    a_solve = factorize(A).solve
+    B, Mp = operators
+    system = BiotSystem(A=A, B=B, Mp=Mp, params=params)
+    vars(system)["a_solve"] = a_solve  # where cached_property keeps it
+    return system
 
 
 def reduced_divdiv(dofs: DofMap) -> sp.csr_matrix:
     """The div-div operator on the free displacement dofs. No solve reads
     it, so no system carries it; `estimate_k_star` and the dump call this."""
     free_u = dofs.free_u
-    return assemble_divdiv(dofs)[free_u][:, free_u].tocsr()
+    return apply_boundary_conditions(assemble_divdiv(dofs), free_u, free_u, "csr")

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import BiotSystem, MaterialParams, build_system, reduced_divdiv
+from .assembly import BiotSystem, MaterialParams, reduced_divdiv, reduced_operators
 from .config import ExperimentConfig, config_hash, default_config
 from .linalg import dense_generalized_symmetric_eigen, m_norm, save_matrix_market
 from .mesh import build_structured_mesh, build_taylor_hood_dofs, mesh_to_text
@@ -327,14 +327,14 @@ def verify_report(cfg: ExperimentConfig) -> dict:
 
 def dump_system(n: int, params: MaterialParams, directory) -> None:
     """Write the reduced operators of the n x n mesh (Matrix Market) and the
-    mesh dump. It assembles them with `build_system`, so nothing is factored."""
+    mesh dump. The operators come from `reduced_operators`, as in
+    `build_system`, but nothing is factored; each is written before the
+    next is assembled."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     mesh = build_structured_mesh(n)
     dofs = build_taylor_hood_dofs(mesh)
-    sys_red = build_system(dofs, params)
-    save_matrix_market(directory / "A.mtx", sys_red.A)
-    save_matrix_market(directory / "B.mtx", sys_red.B)
-    save_matrix_market(directory / "Mp.mtx", sys_red.Mp)
+    for name, matrix in zip(("A", "B", "Mp"), reduced_operators(dofs, params)):
+        save_matrix_market(directory / f"{name}.mtx", matrix)
     save_matrix_market(directory / "Ddiv.mtx", reduced_divdiv(dofs))
     (directory / "mesh.txt").write_text(mesh_to_text(mesh), encoding="ascii")

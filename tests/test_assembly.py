@@ -298,11 +298,24 @@ def test_reduction_matches_full_solve_with_identity_rows(params):
     assert np.abs(full_solution[free] - reduced).max() <= 1e-12 * np.abs(reduced).max()
 
 
-def test_apply_boundary_conditions_rejects_single_cell(params):
+def test_apply_boundary_conditions_rejects_single_cell(params, monkeypatch):
+    # The 1x1 mesh has no interior pressure dof: the error comes before A
+    # is assembled or factored.
+    import biotfs.assembly
+
+    calls = []
+
+    def counted(name):
+        original = getattr(biotfs.assembly, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("assemble_elasticity", "factorize"):
+        monkeypatch.setattr(biotfs.assembly, name, counted(name))
     mesh = build_structured_mesh(1)
     dofs = build_taylor_hood_dofs(mesh)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no interior pressure dofs"):
         build_system(dofs, params)
+    assert calls == []
 
 
 def test_flow_rhs_zero_case(params):

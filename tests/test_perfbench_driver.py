@@ -37,12 +37,15 @@ def test_child_setup_and_traced_solve(tmp_path):
     names = [span[0] for span in spans]
     assert names.count("linalg.factorize") == 2
     # Setup layers: one mesh, one dof map, one system of three operators,
-    # one reduction; the ten steps' loads; no div-div form.
+    # each reduced by its own call; the ten steps' loads; no div-div form.
     for name in ("mesh.build_structured_mesh", "mesh.build_taylor_hood_dofs",
                  "assembly.build_system", "assembly.assemble_elasticity",
-                 "assembly.assemble_coupling", "assembly.assemble_pressure_mass",
-                 "assembly.apply_boundary_conditions"):
+                 "assembly.assemble_coupling", "assembly.assemble_pressure_mass"):
         assert names.count(name) == 1, name
+    assert names.count("assembly.apply_boundary_conditions") == 3
+    # A is factored before B is assembled, as the tracer sees it.
+    assert (spans[names.index("linalg.factorize")][1]
+            < spans[names.index("assembly.assemble_coupling")][1])
     assert names.count("assembly.assemble_momentum_load") == 10
     assert names.count("assembly.assemble_source_moment") == 10
     assert names.count("assembly.assemble_divdiv") == 0

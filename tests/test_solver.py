@@ -424,13 +424,39 @@ def test_built_problem_factors_nothing_after_build(params, monkeypatch):
 
 def test_built_problem_factors_a_first(params):
     # The factor of A is built before that of Mp: at n=64 the other orders
-    # peaked 164 MB against 146 MB. The cached names enter the instance dict
+    # peaked 164 MB against 146 MB. `build_system` puts A's factor in the
+    # cache and `prepare` adds Mp's; the cached names enter the instance dict
     # in the order they were built, and every instance attribute that is not
     # a field is listed, so no other cache can appear unnoticed.
     system = bf.build_problem(4, params, sources=None).system
     fields = {f.name for f in dataclasses.fields(system)}
     cached = [name for name in vars(system) if name not in fields]
     assert cached == ["a_solve", "m_solve"]
+
+
+def test_built_problem_factors_a_before_b_and_mp_are_assembled(params, monkeypatch):
+    # A's factor is built while B and Mp do not exist yet: that order keeps
+    # the build's peak RSS low and the same from process to process.
+    import biotfs.assembly
+
+    calls = []
+
+    def recorded(name):
+        original = getattr(biotfs.assembly, name)
+
+        def wrapper(*args):
+            calls.append((name, args[0].shape[0] if name == "factorize" else None))
+            return original(*args)
+        return wrapper
+
+    for name in ("factorize", "assemble_coupling", "assemble_pressure_mass"):
+        monkeypatch.setattr(biotfs.assembly, name, recorded(name))
+    system = bf.build_problem(8, params).system
+    order = [name for name, _ in calls]
+    a_factor = calls.index(("factorize", system.n_u))
+    assert a_factor < order.index("assemble_coupling")
+    assert a_factor < order.index("assemble_pressure_mass")
+    assert order.count("factorize") == 2
 
 
 def test_fixed_stress_solve_concurrent_l_values_match_serial(problem8, params):
