@@ -285,7 +285,7 @@ def manufactured_sources():
 
 
 def apply_boundary_conditions(
-    matrix: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray, format: str
+    matrix: sp.spmatrix, rows: np.ndarray, cols: np.ndarray, format: str
 ) -> sp.spmatrix:
     """Eliminate the Dirichlet rows and columns of one assembled operator:
     keep the free `rows` and `cols`, in the sparse `format` given.
@@ -314,10 +314,11 @@ def reduced_operators(dofs: DofMap, params: MaterialParams):
 def build_system(dofs: DofMap, params: MaterialParams) -> BiotSystem:
     """Assemble, reduce and factor A, then assemble and reduce B and Mp.
 
-    A's factor is built before B and Mp exist, so the system starts with it
-    in its `a_solve` cache; Mp is factored on first use or by `prepare()`.
-    Raises ValueError before any assembly when the mesh has no interior
-    pressure dofs.
+    A's factor sets the build's peak RSS; built before B and Mp exist, it
+    peaks lower and the same from process to process (README). The system
+    starts with it in its `a_solve` cache; Mp is factored on first use or
+    by `prepare()`. Raises ValueError before any assembly when the mesh has
+    no interior pressure dofs.
     """
     operators = reduced_operators(dofs, params)
     A = next(operators)
@@ -331,5 +332,4 @@ def build_system(dofs: DofMap, params: MaterialParams) -> BiotSystem:
 def reduced_divdiv(dofs: DofMap) -> sp.csr_matrix:
     """The div-div operator on the free displacement dofs. No solve reads
     it, so no system carries it; `estimate_k_star` and the dump call this."""
-    free_u = dofs.free_u
-    return apply_boundary_conditions(assemble_divdiv(dofs), free_u, free_u, "csr")
+    return apply_boundary_conditions(assemble_divdiv(dofs), dofs.free_u, dofs.free_u, "csr")

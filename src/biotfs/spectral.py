@@ -50,10 +50,11 @@ from .linalg import _energy, m_norm
 # Rows of the Lanczos basis allocated at the start of a run. It covers the
 # step counts the estimator takes up to n = 128 (48 at n=64 and 68 at
 # n=128 with seed 1, tol 1e-8), and the block doubles only past it. Rows of
-# steps not taken are never written. At n=128 the estimate raised the peak
-# RSS left by the build by 1.0-1.2 MB with this block and by 9.6-11.3 MB
-# with 512 rows (8 runs each, glibc): 68 MB always gets fresh pages from
-# the kernel, where 17 MB fits in heap that the assembly freed.
+# steps not taken are never written, and only written rows take pages: the
+# build leaves too little free heap to hold even this block, so at n=128
+# the estimate raised the build's peak RSS by 9.6-10.4 MB with it and by
+# 9.6-9.8 MB with 512 rows (4 runs each, glibc), about the 8.8 MB of the
+# 68 rows written.
 BASIS_ROWS = 128
 
 

@@ -666,8 +666,9 @@ def test_multi_mesh_reports_hold_one_problem_at_a_time(monkeypatch, small_cfg, r
 
 
 def test_dump_matrices_factors_nothing(tmp_path, monkeypatch, capsys):
-    # --dump-matrices writes the operators of build_system, which factors
-    # nothing; the report is stubbed so that only the dump runs.
+    # --dump-matrices writes the reduced operators that build_system
+    # factors, but factors none of them; the report is stubbed so that only
+    # the dump runs.
     import biotfs.assembly
     import biotfs.cli
 
