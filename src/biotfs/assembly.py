@@ -314,11 +314,11 @@ def reduced_operators(dofs: DofMap, params: MaterialParams):
 def build_system(dofs: DofMap, params: MaterialParams) -> BiotSystem:
     """Assemble, reduce and factor A, then assemble and reduce B and Mp.
 
-    A's factor sets the build's peak RSS; built before B and Mp exist, it
-    peaks lower and the same from process to process (README). The system
-    starts with it in its `a_solve` cache; Mp is factored on first use or
-    by `prepare()`. Raises ValueError before any assembly when the mesh has
-    no interior pressure dofs.
+    A's factor sets most of the build's peak RSS; built before B and Mp
+    exist, it peaks lower, at the same RSS in every process measured
+    (README). It enters the system's `a_solve` cache; Mp is factored on
+    first use or by `prepare()`. Raises ValueError before any assembly
+    when the mesh has no interior pressure dofs.
     """
     operators = reduced_operators(dofs, params)
     A = next(operators)

@@ -327,9 +327,8 @@ def verify_report(cfg: ExperimentConfig) -> dict:
 
 def dump_system(n: int, params: MaterialParams, directory) -> None:
     """Write the reduced operators of the n x n mesh (Matrix Market) and the
-    mesh dump. The operators come from `reduced_operators`, as in
-    `build_system`, but nothing is factored; each is written before the
-    next is assembled."""
+    mesh dump. They come from `reduced_operators`, as in `build_system`,
+    but none is factored."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     mesh = build_structured_mesh(n)

@@ -51,10 +51,10 @@ from .linalg import _energy, m_norm
 # step counts the estimator takes up to n = 128 (48 at n=64 and 68 at
 # n=128 with seed 1, tol 1e-8), and the block doubles only past it. Rows of
 # steps not taken are never written, and only written rows take pages: the
-# build leaves too little free heap to hold even this block, so at n=128
-# the estimate raised the build's peak RSS by 9.6-10.4 MB with it and by
-# 9.6-9.8 MB with 512 rows (4 runs each, glibc), about the 8.8 MB of the
-# 68 rows written.
+# build mostly leaves too little free heap to hold even this block, so at
+# n=128 the estimate raised the build's peak RSS by 9.6-10.4 MB with it and
+# by 9.6-9.8 MB with 512 rows (4 runs each, glibc), about the 8.8 MB of
+# the 68 rows written.
 BASIS_ROWS = 128
 
 
