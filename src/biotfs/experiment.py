@@ -50,7 +50,6 @@ from .spectral import (
     SpectralEstimates,
     estimate_k_star,
     estimate_spectrum,
-    optimal_parameters,
     schur_apply,
 )
 
@@ -197,8 +196,9 @@ def _rel(a: float, b: float) -> float:
 
 
 def _dense_pencil(system: BiotSystem):
-    """Dense oracle of the pencil (S, Mp): (Mp, w, v), with w the
-    eigenvalues in ascending order and v the Mp-orthonormal eigenvectors."""
+    """Dense oracle of the unshifted pencil (S0, Mp): (Mp, w, v), with w the
+    eigenvalues mu in ascending order and v the Mp-orthonormal eigenvectors.
+    (S, Mp) has the same eigenvectors and the eigenvalues w + inv_m."""
     mp = system.Mp.toarray()
     w, v = dense_generalized_symmetric_eigen(dense_schur(system), mp)
     return mp, w, v
@@ -237,21 +237,22 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     prob4 = build_problem(VERIFY_MESHES[0], params)
     sys4 = prob4.system
     mp4, w, _ = _dense_pencil(sys4)
-    lam_min_d, lam_max_d = float(w[0]), float(w[-1])
+    mu_min_d, mu_max_d = float(w[0]), float(w[-1])
     k_star_div = estimate_k_star(prob4, tol=1e-10, seed=seed)
     # The nonzero eigenvalues of the projected pencil (B' inv(Mp) B, A) are
     # those of (S0, Mp); B has full row rank, so the smallest is w_proj[-n_p].
     b4 = sys4.B.toarray()
     w_proj, _ = dense_generalized_symmetric_eigen(b4.T @ np.linalg.solve(mp4, b4), sys4.A)
-    beta_ident = alpha2 / (lam_min_d - params.inv_m)
+    beta_ident = alpha2 / mu_min_d
     est4 = estimate_spectrum(sys4, tol=1e-8, seed=seed)
+    # Rows on the eigenvalues lambda = mu + inv_m of (S, Mp) add inv_m.
     checks = [
         _le("kstar_route_vs_lambda_max_n4",
-                 _rel(alpha2 / k_star_div + params.inv_m, lam_max_d), 1e-6),
+            _rel(alpha2 / k_star_div + params.inv_m, mu_max_d + params.inv_m), 1e-6),
         _le("beta_route_vs_lambda_min_n4",
             _rel(alpha2 / float(w_proj[-sys4.n_p]), beta_ident), 1e-6),
-        _le("power_max_vs_dense_n4", _rel(est4.lambda_max, lam_max_d), 1e-6),
-        _le("power_min_vs_dense_n4", _rel(est4.lambda_min, lam_min_d), 1e-6),
+        _le("power_max_vs_dense_n4", _rel(est4.lambda_max, mu_max_d + params.inv_m), 1e-6),
+        _le("power_min_vs_dense_n4", _rel(est4.lambda_min, mu_min_d + params.inv_m), 1e-6),
     ]
 
     rng = np.random.default_rng(seed)
@@ -272,8 +273,7 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     sys8, tau = prob8.system, cfg.temporal.tau
     f8, g8 = step_loads(prob8, tau, tau, np.zeros(sys8.n_u), np.zeros(sys8.n_p))
     _, w8, v8 = _dense_pencil(sys8)
-    lmax8 = float(w8[-1])
-    est8 = optimal_parameters(lmax8, float(w8[0]), params)
+    est8 = SpectralEstimates(float(w8[-1]), float(w8[0]), params)
 
     L_phys = alpha2 / params.drained_bulk_modulus
     omega = 1.0 / (L_phys + params.inv_m)
@@ -293,7 +293,7 @@ def verify_report(cfg: ExperimentConfig) -> dict:
 
     # Random errors: every step's ratio, then the mean rate over steps 26-50.
     worst = max(max(_error_ratios(sys8, rng.standard_normal(sys8.n_p), om, 50)) - est8.rho(om)
-                for om in (0.5 * est8.omega_opt, est8.omega_opt, 0.9 * (2.0 / lmax8)))
+                for om in (0.5 * est8.omega_opt, est8.omega_opt, 0.9 * (2.0 / est8.lambda_max)))
     tail = _error_ratios(sys8, rng.standard_normal(sys8.n_p), est8.omega_opt, 50)[25:]
     tail_ratio = float(np.exp(np.mean(np.log(tail))))
     in_lo = est8.l_opt >= alpha2 / (2.0 * est8.k_star) * (1.0 - 1e-12)
@@ -308,7 +308,7 @@ def verify_report(cfg: ExperimentConfig) -> dict:
     ]
 
     # Relaxation past 2 / lambda_max grows the error along the top eigenvector.
-    ratios = _error_ratios(sys8, v8[:, -1], 2.0 / (0.9 * lmax8), 10)
+    ratios = _error_ratios(sys8, v8[:, -1], 2.0 / (0.9 * est8.lambda_max), 10)
     checks.append(_gt("divergence_growth_n8", float(np.prod(ratios)), 1.0))
 
     est_fine = estimate_spectrum(sys8, tol=1e-8, seed=seed)

@@ -8,8 +8,11 @@ block,
 then solves mechanics for the displacement, A u = f + B' p. Eliminating the
 displacement shows the pressure sequence is exactly the relaxed Richardson
 iteration p <- p + omega * inv(Mp) (g_tilde - S p) with omega = 1/(L + inv_m),
-S the pressure Schur complement and g_tilde = g - B inv(A) f, which is what
-makes the optimal stabilization parameter computable a priori.
+S = S0 + inv_m * Mp and g_tilde = g - B inv(A) f, which is what makes the
+optimal stabilization parameter computable a priori. S0 = B inv(A) B' comes
+from `schur_apply`; inv_m * Mp is added only on the flow side
+(`fixed_stress_step`, `step_loads`) and by the solvers of S
+(`richardson_step`, `monolithic_solve`).
 """
 
 from __future__ import annotations
@@ -31,10 +34,6 @@ from .assembly import (
 from .linalg import ConvergenceError, m_norm
 from .mesh import DofMap, build_structured_mesh, build_taylor_hood_dofs
 from .spectral import schur_apply
-
-# Relative-criterion denominator floor; avoids 0/0 for identically zero
-# solutions without affecting any nontrivial solve.
-NORM_FLOOR = 1e-300
 
 # Iterates beyond this norm are declared divergent before they can overflow.
 DIVERGENCE_GUARD = 1e130
@@ -174,9 +173,7 @@ def fixed_stress_solve(
             break
         if pn > DIVERGENCE_GUARD or un > DIVERGENCE_GUARD:
             break
-        if dp <= config.eps_r * max(pn, NORM_FLOOR) and du <= config.eps_r * max(
-            un, NORM_FLOOR
-        ):
+        if dp <= config.eps_r * pn and du <= config.eps_r * un:
             trace.converged = True
             break
     return u, p, trace
@@ -192,36 +189,37 @@ def richardson_step(
 ) -> np.ndarray:
     """Relaxed Richardson update on the pressure Schur complement.
 
-    p_next = p_prev + omega * inv(Mp) (g_tilde - S p_prev), with S applied
-    matrix-free and g_tilde = schur_rhs(system, f, g) computed once by the caller.
+    p_next = p_prev + omega * inv(Mp) (g_tilde - S p_prev), with S = S0 +
+    inv_m * Mp formed here from the matrix-free S0 and g_tilde =
+    schur_rhs(system, f, g) computed once by the caller.
     """
     if not 0.0 <= omega < np.inf:
         raise ValueError(f"omega must be nonnegative and finite, got {omega}")
-    residual = g_tilde - schur_apply(system, p_prev)
-    return p_prev + omega * system.m_solve(residual)
+    s_p = schur_apply(system, p_prev) + system.params.inv_m * (system.Mp @ p_prev)
+    return p_prev + omega * system.m_solve(g_tilde - s_p)
 
 
 def dense_schur(system: BiotSystem) -> np.ndarray:
-    """Explicit dense Schur complement; oracle-scale systems only."""
-    bt = np.asarray(system.B.T.todense(), dtype=float)
-    x = system.a_solve(bt)
-    return np.asarray(system.B @ x, dtype=float) + system.params.inv_m * system.Mp.toarray()
+    """Explicit dense S0 = B inv(A) B', the matrix `schur_apply` applies, for
+    oracle-scale systems only; a caller that needs S adds inv_m * Mp."""
+    return system.B @ system.a_solve(system.B.T.toarray())
 
 
 def monolithic_solve(system: BiotSystem, f: np.ndarray, g: np.ndarray):
     """Solve the coupled block system with loads (f, g) exactly via the
     pressure Schur complement.
 
-    Runs conjugate gradients on S p = g_tilde with S applied matrix-free and
-    the pressure mass matrix Mp as the preconditioner; the pencil (S, Mp) is
-    well conditioned at every mesh size, so this is one path for all of
-    them. The displacement then follows from one elastic solve. Raises
-    ConvergenceError if CG stops short of its 1e-13 relative residual or
-    produces a non-finite iterate.
+    Runs conjugate gradients on S p = g_tilde, S = S0 + inv_m * Mp formed
+    here from the matrix-free S0, with the pressure mass matrix Mp as the
+    preconditioner; the pencil (S, Mp) is well conditioned at every mesh
+    size, so this is one path for all of them. The displacement then
+    follows from one elastic solve. Raises ConvergenceError if CG stops
+    short of its 1e-13 relative residual or produces a non-finite iterate.
     """
-    n_p = system.n_p
-    s_op = spla.LinearOperator((n_p, n_p), matvec=lambda v: schur_apply(system, v),
-                               dtype=float)
+    n_p, inv_m = system.n_p, system.params.inv_m
+    s_op = spla.LinearOperator(
+        (n_p, n_p), matvec=lambda v: schur_apply(system, v) + inv_m * (system.Mp @ v),
+        dtype=float)
     m_op = spla.LinearOperator((n_p, n_p), matvec=system.m_solve, dtype=float)
     p, info = spla.cg(s_op, schur_rhs(system, f, g), rtol=1e-13, atol=0.0,
                       maxiter=10 * n_p, M=m_op, callback=_require_finite)

@@ -1,8 +1,10 @@
 """Spectral estimation for the pressure Schur complement pencil.
 
-The splitting solver's pressure update is a relaxed Richardson iteration on
-S = inv_m * Mp + S0, S0 = B inv(A) B', measured against the pressure mass
-matrix Mp. Its contraction factor for relaxation omega is
+The package's one Schur operator is S0 = B inv(A) B', which `schur_apply`
+applies and `solver.dense_schur` forms. The splitting solver's pressure
+update is a relaxed Richardson iteration on S = S0 + inv_m * Mp (formed only
+in `solver`), measured against the pressure mass matrix Mp. Its contraction
+factor for relaxation omega is
 
     rho(omega) = max(|1 - omega*lambda_min|, |1 - omega*lambda_max|),
 
@@ -133,18 +135,12 @@ class SpectralEstimates:
         )
 
 
-def schur_apply(system: BiotSystem, p: np.ndarray, *, shift: bool = True) -> np.ndarray:
-    """Apply S = inv_m*Mp + S0, S0 = B inv(A) B', without forming it;
-    shift=False leaves out the inv_m*Mp term and applies S0.
-
-    The inner elastic solve uses the cached direct factorization.
-    """
+def schur_apply(system: BiotSystem, p: np.ndarray) -> np.ndarray:
+    """Apply S0 = B inv(A) B' through the cached factorization of A, without
+    forming it; the solvers of S = S0 + inv_m * Mp add the shift."""
     if p.shape[0] != system.n_p:
         raise ValueError(f"pressure vector has length {p.shape[0]}, expected {system.n_p}")
-    out = system.B @ system.a_solve(system.B.T @ p)
-    if shift:
-        out = out + system.params.inv_m * (system.Mp @ p)
-    return out
+    return system.B @ system.a_solve(system.B.T @ p)
 
 
 def _extreme_eigs(K, M, Minv, which: str, tol: float, maxit: int, seed: int):
@@ -262,7 +258,7 @@ def estimate_spectrum(system: BiotSystem, tol: float = 1e-8,
     relative to |mu + inv_m| instead of |mu|.
     """
     (mu_min, mu_max), residuals, steps, converged = _extreme_eigs(
-        lambda p: schur_apply(system, p, shift=False), system.Mp, system.m_solve,
+        lambda p: schur_apply(system, p), system.Mp, system.m_solve,
         "BE", tol, maxit, seed)
     inv_m = system.params.inv_m
     res_min, res_max = (res * (abs(mu) / max(abs(mu + inv_m), 1e-300))

@@ -40,7 +40,7 @@ def problem16(params):
 
 @pytest.fixture(scope="session")
 def dense_eigen8(problem8):
-    """Dense Schur pencil eigendata on the n=8 problem."""
+    """Dense eigendata of the unshifted pencil (S0, Mp) on the n=8 problem."""
     s = bf.dense_schur(problem8.system)
     mp = problem8.system.Mp.toarray()
     w, v = bf.dense_generalized_symmetric_eigen(s, mp)
@@ -49,6 +49,7 @@ def dense_eigen8(problem8):
 
 @pytest.fixture(scope="session")
 def dense_eigen4(problem4):
+    """Dense eigendata of the unshifted pencil (S0, Mp) on the n=4 problem."""
     s = bf.dense_schur(problem4.system)
     mp = problem4.system.Mp.toarray()
     w, v = bf.dense_generalized_symmetric_eigen(s, mp)

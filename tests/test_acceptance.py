@@ -19,6 +19,7 @@ import biotfs as bf
 from biotfs.config import default_config
 from biotfs.experiment import sweep_report
 from biotfs.solver import fixed_stress_step, richardson_step, schur_rhs
+from biotfs.spectral import SpectralEstimates
 
 SEED = 1
 
@@ -59,9 +60,10 @@ def test_criterion_1_richardson_equivalence(problem8, params):
 def test_criterion_2_eigenvalue_identifications(problem4, dense_eigen4, params):
     system = problem4.system
     w, _ = dense_eigen4
-    lam_min, lam_max = w[0], w[-1]
+    mu_min, mu_max = w[0], w[-1]
 
     k_star_div = bf.estimate_k_star(problem4, tol=1e-10, maxit=200000, seed=SEED)
+    lam_max = mu_max + params.inv_m
     gap_max = abs(params.alpha**2 / k_star_div + params.inv_m - lam_max) / lam_max
 
     # Coupled route, independent of (S, Mp): the smallest nonzero eigenvalue
@@ -70,7 +72,7 @@ def test_criterion_2_eigenvalue_identifications(problem4, dense_eigen4, params):
     mp, b = system.Mp.toarray(), system.B.toarray()
     w_proj, _ = bf.dense_generalized_symmetric_eigen(b.T @ np.linalg.solve(mp, b), system.A)
     beta_dense = params.alpha**2 / w_proj[-system.n_p]
-    beta_ident = params.alpha**2 / (lam_min - params.inv_m)
+    beta_ident = params.alpha**2 / mu_min
     gap_min = abs(beta_dense - beta_ident) / beta_ident
 
     ok_max = gap_max <= 1e-6
@@ -92,8 +94,8 @@ def test_criterion_2_eigenvalue_identifications(problem4, dense_eigen4, params):
 def test_criterion_3_contraction_bound(problem8, dense_eigen8, params):
     system, f, g = problem8.system, problem8.f, problem8.g
     w, _ = dense_eigen8
-    lam_min, lam_max = w[0], w[-1]
-    est = bf.optimal_parameters(lam_max, lam_min, params)
+    est = SpectralEstimates(w[-1], w[0], params)
+    lam_max = est.lambda_max
     _, p_star = bf.monolithic_solve(system, f, g)
     gt = schur_rhs(system, f, g)
     rng = np.random.default_rng(SEED)
@@ -162,10 +164,10 @@ def test_criterion_4_sweep_optimality(cfg, params):
 def test_criterion_5_divergence_threshold(problem8, dense_eigen8, params):
     system, f, g = problem8.system, problem8.f, problem8.g
     w, v = dense_eigen8
-    k_star = params.alpha**2 / (w[-1] - params.inv_m)
+    k_star = params.alpha**2 / w[-1]
     L_bad = 0.9 * params.alpha**2 / (2.0 * k_star)
     omega = 1.0 / (L_bad + params.inv_m)
-    assert omega > 2.0 / w[-1]
+    assert omega > 2.0 / (w[-1] + params.inv_m)
 
     _, p_star = bf.monolithic_solve(system, f, g)
     gt = schur_rhs(system, f, g)
@@ -208,8 +210,8 @@ def test_criterion_7_power_iteration_vs_dense(problem4, dense_eigen4):
     system = problem4.system
     w, _ = dense_eigen4
     fine = bf.estimate_spectrum(system, tol=1e-8, maxit=200000, seed=SEED)
-    gap_max = abs(fine.lambda_max - w[-1]) / w[-1]
-    gap_min = abs(fine.lambda_min - w[0]) / w[0]
+    gap_max = abs(fine.mu_max - w[-1]) / w[-1]
+    gap_min = abs(fine.mu_min - w[0]) / w[0]
     coarse = bf.estimate_spectrum(system, tol=1e-3, maxit=200000, seed=SEED)
     gap_lopt = abs(coarse.l_opt - fine.l_opt) / fine.l_opt
 
@@ -217,7 +219,7 @@ def test_criterion_7_power_iteration_vs_dense(problem4, dense_eigen4):
     assert _report(
         "7 spectral estimator vs dense oracle",
         ok,
-        f"lambda_max gap {gap_max:.3e}, lambda_min gap {gap_min:.3e} (<=1e-6); "
+        f"mu_max gap {gap_max:.3e}, mu_min gap {gap_min:.3e} (<=1e-6); "
         f"coarse-vs-fine l_opt gap {gap_lopt:.3e} (<=0.02)",
     )
 

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 import biotfs as bf
 from biotfs.solver import fixed_stress_step, richardson_step, schur_rhs
+from biotfs.spectral import SpectralEstimates
 from oracles import dense_block_solve, dense_fixed_stress_step
 
 
@@ -128,7 +129,7 @@ def test_fixed_stress_solve_diverges_below_threshold(problem8, dense_eigen8, par
     # overshoot (omega > 2/lambda_max) and the iteration grow.
     system, f, g = problem8.system, problem8.f, problem8.g
     w, v = dense_eigen8
-    k_star = params.alpha**2 / (w[-1] - params.inv_m)
+    k_star = params.alpha**2 / w[-1]
     L_bad = 0.9 * params.alpha**2 / (2.0 * k_star)
     _, p_star = bf.monolithic_solve(system, f, g)
     p0 = p_star + v[:, -1] * bf.m_norm(system.Mp, p_star) / bf.m_norm(system.Mp, v[:, -1])
@@ -282,6 +283,31 @@ def test_monolithic_matches_dense_block_oracle(request, n):
     assert np.abs(u - u_o).max() <= 1e-9 * np.abs(u_o).max()
 
 
+@pytest.mark.parametrize("inv_m", [0.0, 1e-11])
+def test_solvers_add_inv_m_to_the_one_schur_operator(params, inv_m):
+    # schur_apply and dense_schur are S0 = B inv(A) B' for every inv_m; each
+    # solver of the shifted S = S0 + inv_m * Mp must add inv_m * Mp itself.
+    prob = bf.build_problem(8, dataclasses.replace(params, inv_m=inv_m))
+    system = prob.system
+    f, g = bf.step_loads(prob, 0.1, 0.1, np.zeros(system.n_u), np.zeros(system.n_p))
+    s0 = bf.dense_schur(system)
+    applied = np.column_stack([bf.schur_apply(system, e) for e in np.eye(system.n_p)])
+    assert np.abs(applied - s0).max() <= 1e-12 * np.abs(s0).max()
+
+    u, p = bf.monolithic_solve(system, f, g)
+    u_o, p_o, _, _ = dense_block_solve(system, f, g)  # carries inv_m * Mp in its block
+    assert np.abs(p - p_o).max() <= 1e-9 * np.abs(p_o).max()
+    assert np.abs(u - u_o).max() <= 1e-9 * np.abs(u_o).max()
+
+    mp = system.Mp.toarray()
+    gt = schur_rhs(system, f, g)
+    p0 = np.abs(p_o).max() * np.random.default_rng(5).standard_normal(system.n_p)
+    omega = 1.0 / (l_physical(params) + inv_m)
+    ref = p0 + omega * np.linalg.solve(mp, gt - (s0 + inv_m * mp) @ p0)
+    p1 = richardson_step(system, p0, omega, g_tilde=gt)
+    assert np.abs(p1 - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
 def test_monolithic_singular_schur_raises(problem4, params):
     # B = 0 with inv_m = 0 makes S = 0; the Schur CG must fail loudly
     # instead of returning a non-finite pressure.
@@ -323,8 +349,7 @@ def test_contraction_bound_with_dense_rates(problem8, dense_eigen8, params):
     # contraction factor (small allowance for the inner solves).
     system, f, g = problem8.system, problem8.f, problem8.g
     w, _ = dense_eigen8
-    lam_min, lam_max = w[0], w[-1]
-    est = bf.optimal_parameters(lam_max, lam_min, params)
+    est = SpectralEstimates(w[-1], w[0], params)
     _, p_star = bf.monolithic_solve(system, f, g)
     gt = schur_rhs(system, f, g)
     rng = np.random.default_rng(31)

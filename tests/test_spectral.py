@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import biotfs as bf
 from biotfs.assembly import reduced_divdiv
 from biotfs.linalg import factorize
-from biotfs.spectral import EstimationError, _extreme_eigs
+from biotfs.spectral import EstimationError, SpectralEstimates, _extreme_eigs
 
 
 def _identity(x):
@@ -96,7 +96,7 @@ def test_power_max_vs_dense(problem4, dense_eigen4):
     w, _ = dense_eigen4
     est = bf.estimate_spectrum(problem4.system, tol=1e-8, maxit=100000, seed=1)
     assert est.converged
-    assert abs(est.lambda_max - w[-1]) <= 1e-6 * w[-1]
+    assert abs(est.mu_max - w[-1]) <= 1e-6 * w[-1]
 
 
 def test_power_max_cap_flags_inexact(system16):
@@ -167,7 +167,7 @@ def test_power_min_proportional_pencil():
 def test_power_min_vs_dense(problem4, dense_eigen4):
     w, _ = dense_eigen4
     est = bf.estimate_spectrum(problem4.system, tol=1e-8, maxit=100000, seed=1)
-    assert abs(est.lambda_min - w[0]) <= 1e-6 * w[0]
+    assert abs(est.mu_min - w[0]) <= 1e-6 * w[0]
 
 
 def test_fine_estimate_certified_against_dense_n16(system16):
@@ -177,8 +177,8 @@ def test_fine_estimate_certified_against_dense_n16(system16):
     est = bf.estimate_spectrum(system16, tol=1e-8, seed=1)
     assert est.converged
     assert max(est.residuals) <= 1e-8
-    assert abs(est.lambda_max - w[-1]) <= 1e-9 * w[-1]
-    assert abs(est.lambda_min - w[0]) <= 1e-9 * w[0]
+    assert abs(est.mu_max - w[-1]) <= 1e-9 * w[-1]
+    assert abs(est.mu_min - w[0]) <= 1e-9 * w[0]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -320,16 +320,17 @@ def test_estimate_beta_infsup_signal(params):
 
 @pytest.mark.parametrize("inv_m", [0.0, 1.0e-11])
 def test_estimate_beta_dense_proof_identity(params, inv_m):
-    # beta equals alpha^2 over the smallest eigenvalue of the coupled
-    # pencil (B inv(A) B', Mp), and over the smallest nonzero eigenvalue of
-    # the projected pencil (B' inv(Mp) B, A): B has full row rank, so the
-    # kernel has dimension n_u - n_p and that eigenvalue is w_proj[-n_p].
+    # beta from the shifted pencil (S, Mp) by optimal_parameters equals
+    # alpha^2 over the smallest eigenvalue of the coupled pencil
+    # (B inv(A) B', Mp), and over the smallest nonzero eigenvalue of the
+    # projected pencil (B' inv(Mp) B, A): B has full row rank, so the kernel
+    # has dimension n_u - n_p and that eigenvalue is w_proj[-n_p].
     material = dataclasses.replace(params, inv_m=inv_m)
     system = bf.build_problem(4, material, sources=None).system
     mp, b = system.Mp.toarray(), system.B.toarray()
-    w, _ = bf.dense_generalized_symmetric_eigen(bf.dense_schur(system), mp)
+    w, _ = bf.dense_generalized_symmetric_eigen(bf.dense_schur(system) + inv_m * mp, mp)
     beta_ident = bf.optimal_parameters(w[-1], w[0], material).beta
-    wb, _ = bf.dense_generalized_symmetric_eigen(bf.dense_schur(system) - inv_m * mp, mp)
+    wb, _ = bf.dense_generalized_symmetric_eigen(bf.dense_schur(system), mp)
     assert abs(material.alpha**2 / wb[0] - beta_ident) <= 1e-6 * beta_ident
     w_proj, _ = bf.dense_generalized_symmetric_eigen(b.T @ np.linalg.solve(mp, b), system.A)
     assert abs(material.alpha**2 / w_proj[-system.n_p] - beta_ident) <= 1e-6 * beta_ident
@@ -396,4 +397,4 @@ def _dense_estimates(system, mats):
     w, _ = bf.dense_generalized_symmetric_eigen(
         bf.dense_schur(system), system.Mp.toarray()
     )
-    return bf.optimal_parameters(w[-1], w[0], mats)
+    return SpectralEstimates(w[-1], w[0], mats)

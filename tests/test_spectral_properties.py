@@ -68,7 +68,8 @@ def test_estimates_hold_invariants_and_match_dense(params, n, seed):
     assert est.l_opt <= alpha2 / est.k_star * (1.0 + SLACK)
     assert est.rho_opt < 1.0
 
-    w, _ = bf.dense_generalized_symmetric_eigen(bf.dense_schur(system), system.Mp)
+    mu, _ = bf.dense_generalized_symmetric_eigen(bf.dense_schur(system), system.Mp)
+    w = mu + params.inv_m  # the eigenvalues of (S, Mp)
     assert abs(est.lambda_max - w[-1]) <= 1e-8 * w[-1]
     assert abs(est.lambda_min - w[0]) <= 1e-8 * w[0]
 
@@ -95,8 +96,7 @@ def test_tuning_parameters_match_dense_unshifted_pencil(params, n, seed):
     # (S0, Mp), S0 = B inv(A) B', whatever inv_m is.
     system = bf.build_problem(n, params, sources=None).system
     est = bf.estimate_spectrum(system, tol=1e-8, seed=seed)
-    s0 = system.B @ system.a_solve(system.B.T.toarray())
-    w, _ = bf.dense_generalized_symmetric_eigen(s0, system.Mp)
+    w, _ = bf.dense_generalized_symmetric_eigen(bf.dense_schur(system), system.Mp)
     alpha2 = params.alpha**2
     for value, exact in ((est.l_opt, 0.5 * (w[-1] + w[0])),
                          (est.k_star, alpha2 / w[-1]),
