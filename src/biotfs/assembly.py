@@ -9,9 +9,17 @@ with A the linear elasticity operator 2*mu*(eps(u), eps(v)) + lam*(div u,
 div v), B the pressure/divergence coupling alpha*(div u, q), Mp the pressure
 mass matrix and g carrying the previous step's state plus the fluid source.
 Each operator is assembled over the full dof set and then reduced by
-eliminating Dirichlet rows and columns. Element contractions pass
-optimize=True to np.einsum, because numpy's default generic loop is 20-50x
-slower for these shapes.
+eliminating Dirichlet rows and columns.
+
+Element matrices follow the tensor representation of Kirby & Logg (ACM
+TOMS 2006). On an affine cell a physical gradient is inv(J)' times the
+reference one, so each element matrix contracts a reference-triangle
+tensor with the cell's metric: det(J) inv(J)' (x) inv(J)' for A and Ddiv,
+det(J) inv(J)' for B, det(J) for Mp, one matmul per operator. The 6-point
+rule integrates the reference tensors exactly: the cells are affine and
+their integrands have degree 2 <= 4. The loads keep quadrature at physical
+points, since their sources are arbitrary callables. Contractions pass
+optimize=True to np.einsum; its default generic loop is 20-50x slower.
 """
 
 from __future__ import annotations
@@ -30,9 +38,19 @@ from .elements import (
     p2_values,
 )
 from .linalg import factorize
-from .mesh import DofMap, Mesh
+from .mesh import DofMap
 
 SOURCE_SCALE = 1.0e9
+
+# Integrals over the reference triangle, with xi the reference coordinates,
+# N the P2 and M the P1 basis:
+# _GRAD_GRAD[c,d,i,j] = int dN_i/dxi_c dN_j/dxi_d,
+# _VAL_GRAD[c,v,j] = int M_v dN_j/dxi_c and _MASS[v,w] = int M_v M_w.
+_WEIGHTS, _P1 = TRIANGLE_QUAD_WEIGHTS, p1_values(TRIANGLE_QUAD_POINTS)
+_P2_GRAD = p2_gradients(TRIANGLE_QUAD_POINTS)
+_GRAD_GRAD = np.einsum("q,qic,qjd->cdij", _WEIGHTS, _P2_GRAD, _P2_GRAD, optimize=True)
+_VAL_GRAD = np.einsum("q,qv,qjc->cvj", _WEIGHTS, _P1, _P2_GRAD, optimize=True)
+_MASS = np.einsum("q,qv,qw->vw", _WEIGHTS, _P1, _P1, optimize=True)
 
 
 @dataclass(frozen=True)
@@ -116,13 +134,6 @@ class BiotSystem:
         return factorize(self.Mp).solve
 
 
-def _p2_physical_gradients(mesh: Mesh):
-    """Physical P2 gradients at the quadrature points, shape (nt, nq, 6, 2)."""
-    _, _, det, inv_jt = mesh.geometry
-    ref = p2_gradients(TRIANGLE_QUAD_POINTS)
-    return np.einsum("eab,qib->eqia", inv_jt, ref, optimize=True), det
-
-
 def _u_dof_indices(dofs: DofMap) -> np.ndarray:
     """Interleaved displacement dof indices per triangle, shape (nt, 12)."""
     nodes = dofs.tri_nodes
@@ -147,32 +158,26 @@ def _scatter(local: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape):
     ).tocsr()
 
 
-def _grad_products(mesh: Mesh) -> np.ndarray:
-    """gab[e,i,j,a,b] = integral over cell e of dNi/dx_a * dNj/dx_b."""
-    pg, det = _p2_physical_gradients(mesh)
-    return np.einsum(
-        "q,eqia,eqjb,e->eijab", TRIANGLE_QUAD_WEIGHTS, pg, pg, det, optimize=True
-    )
-
-
 def _vector_p2_form(dofs: DofMap, mu: float, lam: float) -> sp.csr_matrix:
     """Assemble 2*mu*(eps(u), eps(v)) + lam*(div u, div v) over all
     displacement dofs.
 
-    For the vector P2 basis this expands into mu*(delta_ab grad.grad + cross
-    terms) plus the lam div-div block; (mu, lam) = (0, 1) leaves exactly the
-    div-div form.
+    With g_xy = (dN_i/dx_x, dN_j/dx_y) on a cell, block (a, b) of the
+    element matrix is mu*g_ba + lam*g_ab + delta_ab*mu*(g_00 + g_11); the
+    (mu, lam) table folds these into the kernel, and (mu, lam) = (0, 1)
+    leaves exactly the div-div form.
     """
-    gab = _grad_products(dofs.mesh)
-    gg = gab[..., 0, 0] + gab[..., 1, 1]
-    nt = dofs.mesh.num_triangles
-    local = np.zeros((nt, 12, 12))
-    for a in range(2):
-        for b in range(2):
-            block = mu * gab[..., b, a] + lam * gab[..., a, b]
-            if a == b:
-                block = block + mu * gg
-            local[:, a::2, b::2] = block
+    eye = np.eye(2)
+    table = (
+        mu * np.einsum("xb,ya->xyab", eye, eye, optimize=True)
+        + lam * np.einsum("xa,yb->xyab", eye, eye, optimize=True)
+        + mu * np.einsum("xy,ab->xyab", eye, eye, optimize=True)
+    )
+    kernel = np.einsum("xyab,cdij->xcydiajb", table, _GRAD_GRAD, optimize=True)
+    _, _, det, inv_jt = dofs.mesh.geometry
+    # metric[e, (x, c), (y, d)] = det * inv_jt[x, c] * inv_jt[y, d]
+    metric = (det[:, None, None] * inv_jt).reshape(-1, 4, 1) * inv_jt.reshape(-1, 1, 4)
+    local = (metric.reshape(-1, 16) @ kernel.reshape(16, 144)).reshape(-1, 12, 12)
     idx = _u_dof_indices(dofs)
     n = dofs.num_displacement_dofs
     return _scatter(local, idx[:, :, None], idx[:, None, :], (n, n))
@@ -190,12 +195,10 @@ def assemble_coupling(dofs: DofMap, alpha: float) -> sp.csr_matrix:
     Rows are pressure dofs (vertices), columns displacement dofs.
     """
     mesh = dofs.mesh
-    pg, det = _p2_physical_gradients(mesh)
-    vals = p1_values(TRIANGLE_QUAD_POINTS)
-    local = alpha * np.einsum(
-        "q,qv,eqjb,e->evjb", TRIANGLE_QUAD_WEIGHTS, vals, pg, det, optimize=True
-    )
-    local = local.reshape(mesh.num_triangles, 3, 12)
+    kernel = alpha * np.einsum("xb,cvj->xcvjb", np.eye(2), _VAL_GRAD, optimize=True)
+    _, _, det, inv_jt = mesh.geometry
+    metric = det[:, None, None] * inv_jt
+    local = (metric.reshape(-1, 4) @ kernel.reshape(4, 36)).reshape(-1, 3, 12)
     rows = mesh.triangles[:, :, None]
     cols = _u_dof_indices(dofs)[:, None, :]
     shape = (dofs.num_pressure_dofs, dofs.num_displacement_dofs)
@@ -205,11 +208,7 @@ def assemble_coupling(dofs: DofMap, alpha: float) -> sp.csr_matrix:
 def assemble_pressure_mass(dofs: DofMap) -> sp.csr_matrix:
     """Assemble the consistent P1 pressure mass matrix over all vertices."""
     mesh = dofs.mesh
-    det = mesh.geometry[2]
-    vals = p1_values(TRIANGLE_QUAD_POINTS)
-    local = np.einsum(
-        "q,qv,qw,e->evw", TRIANGLE_QUAD_WEIGHTS, vals, vals, det, optimize=True
-    )
+    local = mesh.geometry[2][:, None, None] * _MASS
     nv = dofs.num_pressure_dofs
     return _scatter(local, mesh.triangles[:, :, None], mesh.triangles[:, None, :], (nv, nv))
 
@@ -255,7 +254,7 @@ def assemble_source_moment(dofs: DofMap, source, t: float) -> np.ndarray:
     if source is None:
         return np.zeros(dofs.num_pressure_dofs)
     sval = source(*dofs.mesh.quad_coords, t)
-    local = _moments(sval, p1_values(TRIANGLE_QUAD_POINTS), dofs.mesh.geometry[2])
+    local = _moments(sval, _P1, dofs.mesh.geometry[2])
     return np.bincount(
         dofs.mesh.triangles.ravel(), local.ravel(), minlength=dofs.num_pressure_dofs
     )

@@ -6,7 +6,6 @@ import pytest
 import biotfs as bf
 from biotfs.assembly import (
     BiotSystem,
-    _p2_physical_gradients,
     _scatter,
     assemble_coupling,
     assemble_divdiv,
@@ -15,8 +14,14 @@ from biotfs.assembly import (
     build_system,
     manufactured_sources,
     reduced_divdiv,
+    reduced_operators,
 )
-from biotfs.elements import TRIANGLE_QUAD_POINTS, TRIANGLE_QUAD_WEIGHTS, p2_gradients
+from biotfs.elements import (
+    TRIANGLE_QUAD_POINTS,
+    TRIANGLE_QUAD_WEIGHTS,
+    p1_values,
+    p2_gradients,
+)
 from biotfs.mesh import Mesh, build_structured_mesh, build_taylor_hood_dofs
 
 from oracles import (
@@ -421,19 +426,81 @@ def test_momentum_load_vs_per_triangle_quadrature_oracle():
     assert np.abs(oracle[0::2] - oracle[1::2]).max() > 0.1 * scale
 
 
-def test_p2_physical_gradients_vs_per_element_product():
-    mesh = build_structured_mesh(3)
-    pg, det = _p2_physical_gradients(mesh)
-    ref = p2_gradients(TRIANGLE_QUAD_POINTS)
-    expected = np.empty_like(pg)
-    for e, tri in enumerate(mesh.triangles):
+def skewed_triangle_mesh():
+    # A non-right triangle: its inv(J) is full and not symmetric.
+    vertices = np.array([[0.1, 0.2], [1.3, 0.5], [0.6, 1.7]])
+    return Mesh(vertices=vertices, triangles=np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize(
+    "mesh", [build_structured_mesh(3), skewed_triangle_mesh()], ids=["n3", "skewed"]
+)
+def test_element_matrices_vs_per_element_quadrature(mesh):
+    # The kernels apply each cell's metric to reference-triangle integrals.
+    # The oracle integrates the strains and divergences of the physical
+    # gradients inv(J)' grad N, cell by cell and point by point, so a
+    # transposed metric or a swapped component fails.
+    dofs = build_taylor_hood_dofs(mesh)
+    mu, lam, alpha = 1.3, 0.7, 0.6
+    n_u = dofs.num_displacement_dofs
+    A, D = np.zeros((n_u, n_u)), np.zeros((n_u, n_u))
+    B = np.zeros((dofs.num_pressure_dofs, n_u))
+    ref_grads = p2_gradients(TRIANGLE_QUAD_POINTS)
+    ref_p1 = p1_values(TRIANGLE_QUAD_POINTS)
+    for tri, nodes in zip(mesh.triangles, dofs.tri_nodes):
         v0, v1, v2 = mesh.vertices[tri]
-        inv_jt = np.linalg.inv(np.column_stack([v1 - v0, v2 - v0])).T
-        for q in range(ref.shape[0]):
+        jac = np.column_stack([v1 - v0, v2 - v0])
+        inv_jt, det = np.linalg.inv(jac).T, np.linalg.det(jac)
+        u = (2 * nodes[:, None] + np.arange(2)).ravel()
+        for w, grads, p1 in zip(TRIANGLE_QUAD_WEIGHTS, ref_grads, ref_p1):
+            eps = np.zeros((12, 2, 2))
             for i in range(6):
-                expected[e, q, i] = inv_jt @ ref[q, i]
-    assert np.abs(pg - expected).max() <= 1e-15 * np.abs(expected).max()
-    assert np.allclose(det, 1.0 / 9.0, rtol=1e-15, atol=0.0)
+                for a in range(2):
+                    grad_u = np.zeros((2, 2))
+                    grad_u[a] = inv_jt @ grads[i]
+                    eps[2 * i + a] = 0.5 * (grad_u + grad_u.T)
+            flat = eps.reshape(12, 4)
+            div = eps[:, 0, 0] + eps[:, 1, 1]
+            A[np.ix_(u, u)] += w * det * (2.0 * mu * flat @ flat.T + lam * np.outer(div, div))
+            D[np.ix_(u, u)] += w * det * np.outer(div, div)
+            B[np.ix_(tri, u)] += w * det * alpha * np.outer(p1, div)
+    params = bf.MaterialParams(mu=mu, lam=lam, alpha=alpha)
+    for mat, oracle in (
+        (assemble_elasticity(dofs, params), A),
+        (assemble_divdiv(dofs), D),
+        (assemble_coupling(dofs, alpha), B),
+    ):
+        assert np.abs(mat.toarray() - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
+def test_reduced_operators_store_the_element_connectivity(params):
+    # Each reduced operator stores exactly the free dof pairs that share a
+    # triangle, exact zeros included: MMD orders A by its stored pattern,
+    # so that pattern must not depend on which sums cancel.
+    dofs = build_taylor_hood_dofs(build_structured_mesh(8))
+    u_cells = [(2 * nodes[:, None] + np.arange(2)).ravel() for nodes in dofs.tri_nodes]
+    p_cells = list(dofs.mesh.triangles)
+
+    def connectivity(row_cells, col_cells, free_rows, free_cols):
+        row_of = {int(d): k for k, d in enumerate(free_rows)}
+        col_of = {int(d): k for k, d in enumerate(free_cols)}
+        return {
+            (row_of[r], col_of[c])
+            for rows, cols in zip(row_cells, col_cells)
+            for r in rows.tolist() if r in row_of
+            for c in cols.tolist() if c in col_of
+        }
+
+    free_u, free_p = dofs.free_u, dofs.free_p
+    expected = (
+        connectivity(u_cells, u_cells, free_u, free_u),
+        connectivity(p_cells, u_cells, free_p, free_u),
+        connectivity(p_cells, p_cells, free_p, free_p),
+    )
+    for mat, pairs in zip(reduced_operators(dofs, params), expected):
+        coo = mat.tocoo()
+        assert mat.nnz == len(pairs)
+        assert set(zip(coo.row.tolist(), coo.col.tolist())) == pairs
 
 
 def test_manufactured_sources_profile():
