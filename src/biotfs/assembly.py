@@ -42,9 +42,8 @@ from .mesh import DofMap
 
 SOURCE_SCALE = 1.0e9
 
-# Integrals over the reference triangle, with xi the reference coordinates,
-# N the P2 and M the P1 basis:
-# _GRAD_GRAD[c,d,i,j] = int dN_i/dxi_c dN_j/dxi_d,
+# Reference-triangle integrals, xi the reference coordinates, N the P2 and
+# M the P1 basis: _GRAD_GRAD[c,d,i,j] = int dN_i/dxi_c dN_j/dxi_d,
 # _VAL_GRAD[c,v,j] = int M_v dN_j/dxi_c and _MASS[v,w] = int M_v M_w.
 _WEIGHTS, _P1 = TRIANGLE_QUAD_WEIGHTS, p1_values(TRIANGLE_QUAD_POINTS)
 _P2_GRAD = p2_gradients(TRIANGLE_QUAD_POINTS)
@@ -162,9 +161,9 @@ def _vector_p2_form(dofs: DofMap, mu: float, lam: float) -> sp.csr_matrix:
     """Assemble 2*mu*(eps(u), eps(v)) + lam*(div u, div v) over all
     displacement dofs.
 
-    With g_xy = (dN_i/dx_x, dN_j/dx_y) on a cell, block (a, b) of the
-    element matrix is mu*g_ba + lam*g_ab + delta_ab*mu*(g_00 + g_11); the
-    (mu, lam) table folds these into the kernel, and (mu, lam) = (0, 1)
+    With g_xy the cell integral of dN_i/dx_x * dN_j/dx_y, block (a, b) of
+    the element matrix is mu*g_ba + lam*g_ab + delta_ab*mu*(g_00 + g_11);
+    the (mu, lam) table folds these into the kernel, and (mu, lam) = (0, 1)
     leaves exactly the div-div form.
     """
     eye = np.eye(2)

@@ -9,7 +9,8 @@ The P2 numbering is a contract: the vertices first, then one midpoint per
 edge, the edges in lexicographic order of their sorted vertex pairs. It fixes
 the sparsity of every operator and so the minimum degree fill of A's factor,
 4,225,024 nnz(L+U) at n=64 against 4.08M-7.22M over the 14 numberings tried
-(ROADMAP); a change to it changes every factor, estimate and timing.
+(ROADMAP); a change to it changes every factor, estimate and timing. scipy's
+`L` and `U` drop the 7,936 of them that are exactly 0.0 and count 4,217,088.
 """
 
 from __future__ import annotations
