@@ -17,9 +17,11 @@ reference one, so each element matrix contracts a reference-triangle
 tensor with the cell's metric: det(J) inv(J)' (x) inv(J)' for A and Ddiv,
 det(J) inv(J)' for B, det(J) for Mp, one matmul per operator. The 6-point
 rule integrates the reference tensors exactly: the cells are affine and
-their integrands have degree 2 <= 4. The loads keep quadrature at physical
-points, since their sources are arbitrary callables. Contractions pass
-optimize=True to np.einsum; its default generic loop is 20-50x slower.
+their integrands have degree 2 <= 4. The loads contract their values at the
+rule's points, times det(J), with the weighted basis tables _P2_W and
+_P1_W; they keep physical points only because their sources are arbitrary
+callables, and compute them on each call. The einsum calls that remain pass
+optimize=True; np.einsum's default generic loop is 20-50x slower.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .elements import (
     p2_values,
 )
 from .linalg import factorize
-from .mesh import DofMap
+from .mesh import DofMap, Mesh
 
 SOURCE_SCALE = 1.0e9
 
@@ -50,6 +52,10 @@ _P2_GRAD = p2_gradients(TRIANGLE_QUAD_POINTS)
 _GRAD_GRAD = np.einsum("q,qic,qjd->cdij", _WEIGHTS, _P2_GRAD, _P2_GRAD, optimize=True)
 _VAL_GRAD = np.einsum("q,qv,qjc->cvj", _WEIGHTS, _P1, _P2_GRAD, optimize=True)
 _MASS = np.einsum("q,qv,qw->vw", _WEIGHTS, _P1, _P1, optimize=True)
+# The rule's weights times the basis values at its points, _P2_W[q,i] =
+# w_q N_i(xi_q) and _P1_W[q,v] = w_q M_v(xi_q): a load's cell moments.
+_P2_W = _WEIGHTS[:, None] * p2_values(TRIANGLE_QUAD_POINTS)
+_P1_W = _WEIGHTS[:, None] * _P1
 
 
 @dataclass(frozen=True)
@@ -222,13 +228,11 @@ def assemble_divdiv(dofs: DofMap) -> sp.csr_matrix:
     return _vector_p2_form(dofs, 0.0, 1.0)
 
 
-def _moments(values, basis: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Per-cell moments of quadrature-point values (nt, nq) against basis
-    values (nq, nb), shape (nt, nb)."""
-    return np.einsum(
-        "q,qi,eq,e->ei", TRIANGLE_QUAD_WEIGHTS, basis, np.asarray(values), det,
-        optimize=True,
-    )
+def _quad_points(mesh: Mesh) -> tuple:
+    """Physical coordinates of the rule's points, two (nt, nq) arrays."""
+    v, jac, _, _ = mesh.geometry
+    pts = v[:, None, 0, :] + np.einsum("eab,qb->eqa", jac, TRIANGLE_QUAD_POINTS, optimize=True)
+    return pts[..., 0], pts[..., 1]
 
 
 def assemble_momentum_load(dofs: DofMap, body_force, t: float) -> np.ndarray:
@@ -238,13 +242,12 @@ def assemble_momentum_load(dofs: DofMap, body_force, t: float) -> np.ndarray:
     """
     if body_force is None:
         return np.zeros(dofs.num_displacement_dofs)
-    fx, fy = body_force(*dofs.mesh.quad_coords, t)
-    vals = p2_values(TRIANGLE_QUAD_POINTS)
+    fx, fy = body_force(*_quad_points(dofs.mesh), t)
+    det = dofs.mesh.geometry[2][:, None]
     nodes, n = dofs.tri_nodes.ravel(), dofs.num_nodes
     vec = np.empty(dofs.num_displacement_dofs)
-    det = dofs.mesh.geometry[2]
-    vec[0::2] = np.bincount(nodes, _moments(fx, vals, det).ravel(), minlength=n)
-    vec[1::2] = np.bincount(nodes, _moments(fy, vals, det).ravel(), minlength=n)
+    vec[0::2] = np.bincount(nodes, ((fx * det) @ _P2_W).ravel(), minlength=n)
+    vec[1::2] = np.bincount(nodes, ((fy * det) @ _P2_W).ravel(), minlength=n)
     return vec
 
 
@@ -252,11 +255,9 @@ def assemble_source_moment(dofs: DofMap, source, t: float) -> np.ndarray:
     """Moment vector of a scalar source against the P1 basis, all vertices."""
     if source is None:
         return np.zeros(dofs.num_pressure_dofs)
-    sval = source(*dofs.mesh.quad_coords, t)
-    local = _moments(sval, _P1, dofs.mesh.geometry[2])
-    return np.bincount(
-        dofs.mesh.triangles.ravel(), local.ravel(), minlength=dofs.num_pressure_dofs
-    )
+    mesh = dofs.mesh
+    local = (source(*_quad_points(mesh), t) * mesh.geometry[2][:, None]) @ _P1_W
+    return np.bincount(mesh.triangles.ravel(), local.ravel(), minlength=dofs.num_pressure_dofs)
 
 
 def manufactured_sources():

@@ -20,8 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .elements import TRIANGLE_QUAD_POINTS
-
 
 @dataclass(frozen=True)
 class Mesh:
@@ -29,6 +27,8 @@ class Mesh:
 
     The triangles are the only connectivity stored: `build_taylor_hood_dofs`
     derives the edges from them, so no second table can disagree with them.
+    It holds topology and geometry only: no load keeps arrays on it; the
+    loads compute their quadrature points from `geometry` on each call.
 
     Attributes
     ----------
@@ -65,19 +65,9 @@ class Mesh:
         inv_jt /= det[:, None, None]
         return _read_only(v, jac, det, inv_jt)
 
-    @cached_property
-    def quad_coords(self):
-        """Physical coordinates of all quadrature points, two (nt, nq) arrays,
-        once per mesh; every step's loads evaluate their sources there."""
-        v, jac, _, _ = self.geometry
-        pts = v[:, None, 0, :] + np.einsum(
-            "eab,qb->eqa", jac, TRIANGLE_QUAD_POINTS, optimize=True
-        )
-        return _read_only(pts[..., 0], pts[..., 1])
-
 
 def _read_only(*arrays):
-    """Per-mesh arrays are shared by every later load: lock them."""
+    """Arrays built once per mesh are shared by every later reader: lock them."""
     for a in arrays:
         a.flags.writeable = False
     return arrays

@@ -259,14 +259,11 @@ def build_problem(
 
     `sources` is a (body_force, fluid_source) pair of callables taking
     (x, y, t), by default the built-in parabolic profiles, or None for a
-    source-free problem.
+    source-free problem. A's assembly builds the mesh's geometry; the loads
+    keep nothing on the mesh, so each step's quadrature points are freed
+    with its loads.
     """
-    mesh = build_structured_mesh(n)
-    # Long-lived, so built before the dof numbering's and the assembly's
-    # temporaries: numbering the dofs first raised `solve --mesh-n 64`'s peak
-    # 0.3 MB (medians of 16 fresh runs, 2 vCPUs, one BLAS thread).
-    mesh.geometry
-    dofs = build_taylor_hood_dofs(mesh)
+    dofs = build_taylor_hood_dofs(build_structured_mesh(n))
     system = build_system(dofs, params).prepare()
     body, fluid = sources or (None, None)
     return TransientProblem(dofs=dofs, system=system, body_force=body, fluid_source=fluid)

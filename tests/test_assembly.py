@@ -399,11 +399,23 @@ def test_flow_rhs_matches_reduced_fast_path(params):
     assert np.abs(g - reference).max() <= 1e-13 * max(np.abs(reference).max(), 1.0)
 
 
-def test_momentum_load_vs_per_triangle_quadrature_oracle():
-    # n=3: h = 1/3 is not exact in binary. The two components differ, so a
-    # swapped x/y interleave fails. Quadratic forces keep every integrand
-    # within the degree-4 rule.
-    mesh = build_structured_mesh(3)
+def skewed_triangle_mesh():
+    # A non-right triangle: its inv(J) is full and not symmetric.
+    vertices = np.array([[0.1, 0.2], [1.3, 0.5], [0.6, 1.7]])
+    return Mesh(vertices=vertices, triangles=np.array([[0, 1, 2]]))
+
+
+LOAD_MESHES = pytest.mark.parametrize(
+    "mesh", [build_structured_mesh(3), skewed_triangle_mesh()], ids=["n3", "skewed"]
+)
+
+
+@LOAD_MESHES
+def test_momentum_load_vs_per_triangle_quadrature_oracle(mesh):
+    # n=3: h = 1/3 is not exact in binary; the skewed cell has a full,
+    # unsymmetric Jacobian. The two components differ, so a swapped x/y
+    # interleave fails. Quadratic forces keep every integrand within the
+    # degree-4 rule.
     dofs = build_taylor_hood_dofs(mesh)
 
     def force(x, y, t):
@@ -426,15 +438,30 @@ def test_momentum_load_vs_per_triangle_quadrature_oracle():
     assert np.abs(oracle[0::2] - oracle[1::2]).max() > 0.1 * scale
 
 
-def skewed_triangle_mesh():
-    # A non-right triangle: its inv(J) is full and not symmetric.
-    vertices = np.array([[0.1, 0.2], [1.3, 0.5], [0.6, 1.7]])
-    return Mesh(vertices=vertices, triangles=np.array([[0, 1, 2]]))
+@LOAD_MESHES
+def test_source_moment_vs_per_triangle_quadrature_oracle(mesh):
+    # A quadratic, time-dependent source moves with the quadrature points,
+    # unlike a unit source; source x hat has degree 3 <= 4, so the rule is
+    # exact.
+    dofs = build_taylor_hood_dofs(mesh)
+
+    def source(x, y, t):
+        return t * (1.0 + x * y - y * y)
+
+    vec = bf.assemble_source_moment(dofs, source, 0.7)
+    oracle = np.zeros(dofs.num_pressure_dofs)
+    for tri in mesh.triangles:
+        verts = mesh.vertices[tri]
+        for local, vertex in enumerate(tri):
+            oracle[vertex] += integrate_triangle(
+                lambda x, y, i=local: source(x, y, 0.7)
+                * p1_value(i, *_reference_coords(x, y, verts)),
+                *verts,
+            )
+    assert np.abs(vec - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
-@pytest.mark.parametrize(
-    "mesh", [build_structured_mesh(3), skewed_triangle_mesh()], ids=["n3", "skewed"]
-)
+@LOAD_MESHES
 def test_element_matrices_vs_per_element_quadrature(mesh):
     # The kernels apply each cell's metric to reference-triangle integrals.
     # The oracle integrates the strains and divergences of the physical
