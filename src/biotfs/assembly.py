@@ -230,8 +230,8 @@ def assemble_divdiv(dofs: DofMap) -> sp.csr_matrix:
 
 def _quad_points(mesh: Mesh) -> tuple:
     """Physical coordinates of the rule's points, two (nt, nq) arrays."""
-    v, jac, _, _ = mesh.geometry
-    pts = v[:, None, 0, :] + np.einsum("eab,qb->eqa", jac, TRIANGLE_QUAD_POINTS, optimize=True)
+    origin, jac, _, _ = mesh.geometry
+    pts = origin[:, None, :] + np.einsum("eab,qb->eqa", jac, TRIANGLE_QUAD_POINTS, optimize=True)
     return pts[..., 0], pts[..., 1]
 
 

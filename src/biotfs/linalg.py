@@ -9,6 +9,8 @@ ever used at oracle scale (a few thousand unknowns).
 Sparse SPD factors are SuperLU's under the multiple minimum degree ordering
 of A + A' (Liu, ACM TOMS 1985), which is 2A since `factorize` takes only
 symmetric input; at n=64 it leaves less than half the fill of COLAMD.
+Pivots stay on the diagonal, which is stable for SPD input, so the factor's
+order and fill depend on the stored pattern only, not on the material.
 Solves take SuperLU's transposed sweep (A' x = b), the same system for this
 symmetric input and measurably faster than the plain sweep (Li, ACM TOMS
 2005, describes both).
@@ -95,6 +97,15 @@ def factorize(A) -> Factorization:
     Raises FactorizationError if the matrix is visibly not SPD (asymmetric,
     nonpositive diagonal) or if the factorization hits a zero pivot.
     The ordering is minimum degree on A + A' = 2A, in SuperLU's symmetric mode.
+    Every pivot is taken on the diagonal (threshold 0), so the row order is
+    MMD's column order whatever the values. The input is SPD, and
+    elimination without pivoting is stable for SPD matrices (Higham 2002,
+    §10.1); a zero pivot still raises FactorizationError. SuperLU's default
+    threshold swaps rows of A as lam/mu grows, which breaks the symmetric
+    order and multiplies the fill: 14x at n=64 and lam/mu = 499. The
+    symmetry check below also guards this path: without pivoting an
+    asymmetric input would factor without error, and the transposed sweep
+    would solve A'x = b.
     A canonical CSC matrix with int32 indices, as `BiotSystem` stores A and
     Mp, is factored from its own arrays; any other input is first copied
     into that form.
@@ -112,7 +123,8 @@ def factorize(A) -> Factorization:
     if np.any(diag <= 0.0):
         raise FactorizationError("matrix has a nonpositive diagonal entry")
     try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
+                       options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
     except RuntimeError as exc:  # singular pivot
         raise FactorizationError(f"factorization failed: {exc}") from exc
     return Factorization(lu)

@@ -1,9 +1,9 @@
-"""Structured triangulations of the unit square and Taylor-Hood dof maps.
+"""Triangulations of the unit square and Taylor-Hood dof maps.
 
-The mesh splits each of the n x n grid cells along its (+1,+1) diagonal into
-two triangles. Vertices are numbered lexicographically by (y, x), which makes
-every construction bit-deterministic. Displacements carry two components per
-P2 node, pressure one value per vertex.
+The structured mesh splits each of the n x n grid cells along its (+1,+1)
+diagonal into two triangles. Its vertices are numbered lexicographically by
+(y, x), which makes every construction bit-deterministic. Displacements
+carry two components per P2 node, pressure one value per vertex.
 
 The P2 numbering is a contract: the vertices first, then one midpoint per
 edge, the edges in lexicographic order of their sorted vertex pairs. It fixes
@@ -23,7 +23,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Mesh:
-    """Triangulation of the unit square with n subdivisions per side.
+    """A conforming triangulation of the unit square, its triangles
+    counterclockwise.
+
+    Assembly takes any such triangulation; `build_structured_mesh` makes
+    one of them, with n subdivisions per side. `build_taylor_hood_dofs`
+    finds the boundary by exact coordinates, so boundary vertices must lie
+    exactly on the square's sides.
 
     The triangles are the only connectivity stored: `build_taylor_hood_dofs`
     derives the edges from them, so no second table can disagree with them.
@@ -33,7 +39,8 @@ class Mesh:
     Attributes
     ----------
     vertices : ndarray, shape (nv, 2)
-        Vertex coordinates, ordered lexicographically by (y, x).
+        Vertex coordinates; `build_structured_mesh` orders them
+        lexicographically by (y, x).
     triangles : ndarray, shape (nt, 3)
         Vertex indices per triangle, counterclockwise.
     """
@@ -51,9 +58,10 @@ class Mesh:
 
     @cached_property
     def geometry(self):
-        """Per-triangle affine map data, once per mesh: corners, Jacobian, det, inv(J)'."""
-        v = self.vertices[self.triangles]
-        jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        """Per-triangle affine map x = origin + J x_ref, once per mesh: the
+        origin (corner 0), J, det J and inv(J)'."""
+        origin, v1, v2 = (self.vertices[self.triangles[:, k]] for k in range(3))
+        jac = np.stack([v1 - origin, v2 - origin], axis=-1)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         if np.any(det <= 0.0):
             raise ValueError("mesh contains a degenerate or inverted triangle")
@@ -63,7 +71,7 @@ class Mesh:
         inv_jt[:, 1, 0] = -jac[:, 0, 1]
         inv_jt[:, 1, 1] = jac[:, 0, 0]
         inv_jt /= det[:, None, None]
-        return _read_only(v, jac, det, inv_jt)
+        return _read_only(origin, jac, det, inv_jt)
 
 
 def _read_only(*arrays):
@@ -149,7 +157,7 @@ class DofMap:
 
 
 def build_taylor_hood_dofs(mesh: Mesh) -> DofMap:
-    """Number the P2/P1 dofs of a structured mesh and select the free ones.
+    """Number the P2/P1 dofs of a mesh and select the free ones.
 
     Momentum gets homogeneous Dirichlet conditions on the left, right and
     bottom sides and a traction-free (Neumann) top side; the two top corners

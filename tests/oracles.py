@@ -3,11 +3,32 @@
 Everything here is deliberately written without the package's element or
 assembly code: basis functions as explicit monomials, integration through a
 Duffy-transformed tensor Gauss rule, and dense block algebra straight from
-numpy. Tests compare package output against these.
+numpy. Tests compare package output against these. `jittered_mesh` gives
+them meshes off the uniform grid.
 """
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from biotfs.mesh import Mesh, build_structured_mesh
+
+
+def jittered_mesh(n, amp, seed):
+    """The structured n x n mesh with each interior vertex moved by
+    independent uniform draws of at most amp*h per coordinate, h = 1/n.
+
+    The boundary vertices and the triangles are unchanged, so the mesh
+    still tiles the unit square. amp must lie in [0, 0.2]; an inverted
+    cell would make `Mesh.geometry` raise.
+    """
+    if not 0.0 <= amp <= 0.2:
+        raise ValueError(f"jitter amplitude must lie in [0, 0.2], got {amp}")
+    mesh = build_structured_mesh(n)
+    vertices = mesh.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, (int(interior.sum()), 2))
+    vertices[interior] += amp / n * draws
+    return Mesh(vertices=vertices, triangles=mesh.triangles)
 
 
 def duffy_rule(order=8):

@@ -4,19 +4,27 @@ Each example builds a small mesh (n = 2 gives a single pressure dof, where
 one Lanczos step is exact) and checks the SpectralEstimates
 invariants, the agreement with the dense oracles of (S, Mp) and of the
 unshifted (S0, Mp), and that the Richardson error contracts at the
-estimated optimum by no more than rho_opt per step. Two invariants of the
+estimated optimum by no more than rho_opt per step. Three invariants of the
 operators themselves hold there too: the splitting scheme's pressures are
-the Richardson iterates, and S is symmetric.
+the Richardson iterates, S is symmetric, and the factors of A and Mp pivot
+on their diagonals in an order that depends only on the mesh. The spectral
+invariants also hold on jittered meshes, off the uniform grid.
 """
 
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biotfs as bf
+from biotfs.assembly import build_system
+from biotfs.linalg import factorize
+from biotfs.mesh import build_taylor_hood_dofs
 from biotfs.solver import fixed_stress_step, richardson_step, schur_rhs
+from oracles import jittered_mesh
+
+GRANITE = bf.MaterialParams(mu=41.667e9, lam=27.778e9, alpha=1.0, inv_m=0.0)
 
 SLACK = 1e-12
 # Over the 50 examples below the largest step ratio exceeded rho_opt by
@@ -133,3 +141,42 @@ def test_schur_complement_is_symmetric(params, n, seed):
     sp, sq = bf.schur_apply(system, p), bf.schur_apply(system, q)
     scale = max(np.linalg.norm(q) * np.linalg.norm(sp), np.linalg.norm(p) * np.linalg.norm(sq))
     assert abs(q @ sp - p @ sq) <= SYMMETRY_BOUND * scale
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(params=materials(), n=st.integers(2, 10))
+@example(params=GRANITE, n=3)  # threshold pivoting swaps 2 rows of A here
+@example(params=dataclasses.replace(GRANITE, lam=499.0 * GRANITE.mu), n=8)  # and 190 here
+def test_factors_pivot_on_their_diagonals(params, n):
+    # Row order equals MMD's column order for A and Mp. MMD reads only the
+    # stored pattern, the element connectivity whatever the values, so A's
+    # order is the granite one on the same mesh. nnz(L+U) is not compared:
+    # scipy's L and U leave out entries that are exactly 0.0.
+    system = bf.build_problem(n, params, sources=None).system
+    a_lu, m_lu = factorize(system.A)._lu, factorize(system.Mp)._lu
+    for lu in (a_lu, m_lu):
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+    granite = bf.build_problem(n, GRANITE, sources=None).system
+    assert np.array_equal(a_lu.perm_c, factorize(granite.A)._lu.perm_c)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(params=materials(), n=st.integers(3, 10), amp=st.floats(0.0, 0.2),
+       seed=st.integers(0, 2**31))
+def test_invariants_hold_on_jittered_meshes(params, n, amp, seed):
+    system = build_system(build_taylor_hood_dofs(jittered_mesh(n, amp, seed)), params)
+    est = bf.estimate_spectrum(system, tol=1e-8, seed=seed)
+    assert est.converged
+
+    mu, _ = bf.dense_generalized_symmetric_eigen(bf.dense_schur(system), system.Mp)
+    assert abs(est.mu_max - mu[-1]) <= 1e-8 * mu[-1]
+    assert abs(est.mu_min - mu[0]) <= 1e-8 * mu[0]
+    assert est.beta >= est.k_star * (1.0 - SLACK)
+    assert est.k_star >= params.drained_bulk_modulus * (1.0 - SLACK)
+    # a(u, u) >= K_dr ||div u||^2 for every u, so mu_max <= alpha^2 / K_dr on
+    # any mesh.
+    bound = params.alpha**2 / params.drained_bulk_modulus * (1.0 + SLACK)
+    assert est.mu_max <= bound and mu[-1] <= bound
+
+    lu = factorize(system.A)._lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)
