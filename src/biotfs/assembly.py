@@ -11,6 +11,12 @@ mass matrix and g carrying the previous step's state plus the fluid source.
 Each operator is assembled over the full dof set and then reduced by
 eliminating Dirichlet rows and columns.
 
+Displacements use quadratic (P2) Lagrange elements, with nodes at the
+vertices and edge midpoints, and pressures linear (P1) ones. This module
+holds the reference triangle (0,0), (1,0), (0,1) as the tables the kernels
+read, built once at import: a symmetric 6-point rule, the P1 and P2 basis
+values and the P2 gradients at its points, and the integrals below.
+
 Element matrices follow the tensor representation of Kirby & Logg (ACM
 TOMS 2006). On an affine cell a physical gradient is inv(J)' times the
 reference one, so each element matrix contracts a reference-triangle
@@ -32,29 +38,66 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import (
-    TRIANGLE_QUAD_POINTS,
-    TRIANGLE_QUAD_WEIGHTS,
-    p1_values,
-    p2_gradients,
-    p2_values,
-)
 from .linalg import factorize
 from .mesh import DofMap, Mesh
 
 SOURCE_SCALE = 1.0e9
 
-# Reference-triangle integrals, xi the reference coordinates, N the P2 and
-# M the P1 basis: _GRAD_GRAD[c,d,i,j] = int dN_i/dxi_c dN_j/dxi_d,
-# _VAL_GRAD[c,v,j] = int M_v dN_j/dxi_c and _MASS[v,w] = int M_v M_w.
-_WEIGHTS, _P1 = TRIANGLE_QUAD_WEIGHTS, p1_values(TRIANGLE_QUAD_POINTS)
-_P2_GRAD = p2_gradients(TRIANGLE_QUAD_POINTS)
+# Symmetric 6-point rule on the reference triangle, exact for polynomials of
+# total degree <= 4. Its weights sum to the reference area 1/2.
+_QA1, _QW1 = 0.445948490915965, 0.223381589678011
+_QA2, _QW2 = 0.091576213509771, 0.109951743655322
+_POINTS = np.array(
+    [
+        [_QA1, _QA1],
+        [1.0 - 2.0 * _QA1, _QA1],
+        [_QA1, 1.0 - 2.0 * _QA1],
+        [_QA2, _QA2],
+        [1.0 - 2.0 * _QA2, _QA2],
+        [_QA2, 1.0 - 2.0 * _QA2],
+    ]
+)
+_WEIGHTS = 0.5 * np.array([_QW1, _QW1, _QW1, _QW2, _QW2, _QW2])
+
+# The P1 basis M (hat functions) and the P2 basis N at the rule's points,
+# _P1[q,v] = M_v(xi_q), _P2[q,i] = N_i(xi_q), _P2_GRAD[q,i,c] =
+# dN_i/dxi_c(xi_q). The P2 nodes are the vertices 0-2, then the midpoints
+# of edges (0,1), (1,2) and (2,0).
+_XI, _ETA = _POINTS[:, 0], _POINTS[:, 1]
+_L0 = 1.0 - _XI - _ETA
+_P1 = np.column_stack([_L0, _XI, _ETA])
+_P2 = np.column_stack(
+    [
+        _L0 * (2.0 * _L0 - 1.0),
+        _XI * (2.0 * _XI - 1.0),
+        _ETA * (2.0 * _ETA - 1.0),
+        4.0 * _L0 * _XI,
+        4.0 * _XI * _ETA,
+        4.0 * _ETA * _L0,
+    ]
+)
+_ZERO = np.zeros_like(_XI)
+_P2_GRAD = np.stack(
+    [
+        np.column_stack([1.0 - 4.0 * _L0, 1.0 - 4.0 * _L0]),
+        np.column_stack([4.0 * _XI - 1.0, _ZERO]),
+        np.column_stack([_ZERO, 4.0 * _ETA - 1.0]),
+        np.column_stack([4.0 * (_L0 - _XI), -4.0 * _XI]),
+        np.column_stack([4.0 * _ETA, 4.0 * _XI]),
+        np.column_stack([-4.0 * _ETA, 4.0 * (_L0 - _ETA)]),
+    ],
+    axis=1,
+)
+
+# Reference-triangle integrals: _GRAD_GRAD[c,d,i,j] = int dN_i/dxi_c
+# dN_j/dxi_d, _VAL_GRAD[c,v,j] = int M_v dN_j/dxi_c and _MASS[v,w] =
+# int M_v M_w.
 _GRAD_GRAD = np.einsum("q,qic,qjd->cdij", _WEIGHTS, _P2_GRAD, _P2_GRAD, optimize=True)
 _VAL_GRAD = np.einsum("q,qv,qjc->cvj", _WEIGHTS, _P1, _P2_GRAD, optimize=True)
 _MASS = np.einsum("q,qv,qw->vw", _WEIGHTS, _P1, _P1, optimize=True)
 # The rule's weights times the basis values at its points, _P2_W[q,i] =
 # w_q N_i(xi_q) and _P1_W[q,v] = w_q M_v(xi_q): a load's cell moments.
-_P2_W = _WEIGHTS[:, None] * p2_values(TRIANGLE_QUAD_POINTS)
+_P2_W = _WEIGHTS[:, None] * _P2
 _P1_W = _WEIGHTS[:, None] * _P1
 
 
@@ -231,7 +274,7 @@ def assemble_divdiv(dofs: DofMap) -> sp.csr_matrix:
 def _quad_points(mesh: Mesh) -> tuple:
     """Physical coordinates of the rule's points, two (nt, nq) arrays."""
     origin, jac, _, _ = mesh.geometry
-    pts = origin[:, None, :] + np.einsum("eab,qb->eqa", jac, TRIANGLE_QUAD_POINTS, optimize=True)
+    pts = origin[:, None, :] + np.einsum("eab,qb->eqa", jac, _POINTS, optimize=True)
     return pts[..., 0], pts[..., 1]
 
 

@@ -6,8 +6,8 @@ command, after checking that every output can be written; each cmd_*
 function then only builds its report, writes it and returns the exit code.
 Exit codes: 0 success, 2 configuration error (an unreadable config file
 included), an output that cannot be written, an input too large to
-allocate or one whose spectral estimate is degenerate, 3 numerical
-divergence, 4 verification failure.
+allocate or one whose factor or spectral estimate is degenerate, 3
+numerical divergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .experiment import (
     sweep_report,
     verify_report,
 )
+from .linalg import FactorizationError
 from .spectral import EstimationError
 
 EXIT_OK = 0
@@ -191,6 +192,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except EstimationError as exc:  # an accepted input whose pencil degenerates
         print(f"cannot estimate: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except FactorizationError as exc:  # accepted, but A or Mp will not factor
+        print(f"cannot factor: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

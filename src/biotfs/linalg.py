@@ -94,8 +94,9 @@ class Factorization:
 def factorize(A) -> Factorization:
     """Factor a sparse SPD matrix for repeated solves.
 
-    Raises FactorizationError if the matrix is visibly not SPD (asymmetric,
-    nonpositive diagonal) or if the factorization hits a zero pivot.
+    Raises FactorizationError if the matrix is visibly not SPD (a non-finite
+    entry, asymmetric, nonpositive diagonal) or if the factorization hits a
+    zero pivot.
     The ordering is minimum degree on A + A' = 2A, in SuperLU's symmetric mode.
     Every pivot is taken on the diagonal (threshold 0), so the row order is
     MMD's column order whatever the values. The input is SPD, and
@@ -116,6 +117,8 @@ def factorize(A) -> Factorization:
     if A.shape[0] != A.shape[1]:
         raise FactorizationError(f"matrix is not square: {A.shape}")
     scale = float(np.abs(A.data).max(initial=0.0))
+    if not np.isfinite(scale):  # inf - inf in A - A' is NaN, which passes below
+        raise FactorizationError("matrix has a non-finite entry")
     asym = float(np.abs((A - A.T).data).max(initial=0.0))
     if asym > 1e-10 * max(scale, 1e-300):
         raise FactorizationError("matrix is not symmetric")

@@ -19,7 +19,11 @@ def jittered_mesh(n, amp, seed):
 
     The boundary vertices and the triangles are unchanged, so the mesh
     still tiles the unit square. amp must lie in [0, 0.2]; an inverted
-    cell would make `Mesh.geometry` raise.
+    cell would make `Mesh.geometry` raise. The cap stays below 1/4: a
+    vertex lies h/sqrt(2) from its cell's opposite hypotenuse, and the
+    vertex and that side can close in on each other by up to
+    2*sqrt(2)*amp*h, so a cell can invert once amp reaches 1/4. Random
+    draws rarely come near that corner; a property test's search can.
     """
     if not 0.0 <= amp <= 0.2:
         raise ValueError(f"jitter amplitude must lie in [0, 0.2], got {amp}")

@@ -6,6 +6,11 @@ import pytest
 import biotfs as bf
 from biotfs.assembly import (
     BiotSystem,
+    _P1,
+    _P2,
+    _P2_GRAD,
+    _POINTS,
+    _WEIGHTS,
     _scatter,
     assemble_coupling,
     assemble_divdiv,
@@ -16,12 +21,6 @@ from biotfs.assembly import (
     reduced_divdiv,
     reduced_operators,
 )
-from biotfs.elements import (
-    TRIANGLE_QUAD_POINTS,
-    TRIANGLE_QUAD_WEIGHTS,
-    p1_values,
-    p2_gradients,
-)
 from biotfs.mesh import Mesh, build_structured_mesh, build_taylor_hood_dofs
 
 from oracles import (
@@ -30,6 +29,7 @@ from oracles import (
     integrate_reference,
     integrate_triangle,
     p1_value,
+    p2_grad,
     p2_value,
 )
 
@@ -44,20 +44,28 @@ def reference_triangle_mesh():
 # (0,1) first, then (0,2), then (1,2); the oracle's node order is (0,1),
 # (1,2), (2,0).
 REF_PERM = [0, 1, 2, 3, 5, 4]
+# The basis tables and the oracle's monomials round differently; at the
+# six points they differ by at most 4.4e-16 on values of order one.
+TABLE_BOUND = 1e-14
 
 
 def test_quadrature_rule_exact_to_degree_four():
     for px in range(5):
         for py in range(5 - px):
             exact = integrate_reference(lambda x, y: x**px * y**py)
-            rule = float(
-                np.sum(
-                    TRIANGLE_QUAD_WEIGHTS
-                    * TRIANGLE_QUAD_POINTS[:, 0] ** px
-                    * TRIANGLE_QUAD_POINTS[:, 1] ** py
-                )
-            )
+            rule = float(np.sum(_WEIGHTS * _POINTS[:, 0] ** px * _POINTS[:, 1] ** py))
             assert abs(rule - exact) <= 1e-15
+
+
+def test_basis_tables_vs_monomial_oracle():
+    # The kernels read the basis only through these tables; the oracle
+    # writes each basis function and gradient as explicit monomials.
+    x, y = _POINTS[:, 0], _POINTS[:, 1]
+    for v in range(3):
+        assert np.abs(_P1[:, v] - p1_value(v, x, y)).max() <= TABLE_BOUND
+    for i in range(6):
+        assert np.abs(_P2[:, i] - p2_value(i, x, y)).max() <= TABLE_BOUND
+        assert np.abs(_P2_GRAD[:, i] - np.column_stack(p2_grad(i, x, y))).max() <= TABLE_BOUND
 
 
 def test_elasticity_rigid_modes(params):
@@ -472,14 +480,12 @@ def test_element_matrices_vs_per_element_quadrature(mesh):
     n_u = dofs.num_displacement_dofs
     A, D = np.zeros((n_u, n_u)), np.zeros((n_u, n_u))
     B = np.zeros((dofs.num_pressure_dofs, n_u))
-    ref_grads = p2_gradients(TRIANGLE_QUAD_POINTS)
-    ref_p1 = p1_values(TRIANGLE_QUAD_POINTS)
     for tri, nodes in zip(mesh.triangles, dofs.tri_nodes):
         v0, v1, v2 = mesh.vertices[tri]
         jac = np.column_stack([v1 - v0, v2 - v0])
         inv_jt, det = np.linalg.inv(jac).T, np.linalg.det(jac)
         u = (2 * nodes[:, None] + np.arange(2)).ravel()
-        for w, grads, p1 in zip(TRIANGLE_QUAD_WEIGHTS, ref_grads, ref_p1):
+        for w, grads, p1 in zip(_WEIGHTS, _P2_GRAD, _P1):
             eps = np.zeros((12, 2, 2))
             for i in range(6):
                 for a in range(2):

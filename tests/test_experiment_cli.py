@@ -458,14 +458,28 @@ def test_cli_memory_error_is_a_one_line_error(monkeypatch, capsys):
 
 
 def test_cli_degenerate_estimate_is_a_one_line_error(tmp_path, capsys):
-    # alpha = 1e-160 is in (0, 1], but the Schur product underflows to zero
-    # and the estimate raises EstimationError; it once ended in a traceback
-    # with exit 1.
-    cfg = _write_cfg(tmp_path, "[material]\nalpha = 1e-160\n")
-    assert main(["estimate", "--mesh-n", "3", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "cannot estimate: the operator K of the pencil vanishes\n"
+    # Accepted inputs whose estimate or factor degenerates; each once ended
+    # in a traceback with exit 1.
+    singular = "cannot factor: factorization failed: Factor is exactly singular\n"
+    cases = [
+        # alpha = 1e-160 is in (0, 1], but the Schur product underflows to
+        # zero and the estimate raises EstimationError.
+        ("alpha = 1e-160", ["estimate", "--mesh-n", "3"],
+         "cannot estimate: the operator K of the pencil vanishes\n"),
+        # lambda = 1e308 overflows reduced A to inf at n=4.
+        ("lambda = 1e308", ["estimate", "--mesh-n", "4"],
+         "cannot factor: matrix has a non-finite entry\n"),
+        # mu = 1e-315 and lambda = 0 leave A subnormal and its factor singular.
+        ("mu = 1e-315\nlambda = 0", ["solve", "--mesh-n", "4"], singular),
+        ("mu = 1e-315\nlambda = 0", ["estimate", "--mesh-n", "4"], singular),
+        ("mu = 1e-315\nlambda = 0", ["verify"], singular),
+    ]
+    for material, argv, err in cases:
+        cfg = _write_cfg(tmp_path, f"[material]\n{material}\n")
+        assert main([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
 
 
 def test_cli_import_leaves_out_scipy_io():

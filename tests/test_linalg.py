@@ -45,15 +45,18 @@ def test_factorize_solve_inverse_property(params):
 
 
 def test_factorize_rejects_non_spd():
-    asym = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(FactorizationError):
-        factorize(asym)
-    negdiag = sp.csr_matrix(np.array([[-1.0, 0.0], [0.0, 1.0]]))
-    with pytest.raises(FactorizationError):
-        factorize(negdiag)
-    singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(FactorizationError):
-        factorize(singular)
+    # Each matrix is rejected for its own reason. An entry overflowed to inf
+    # once factored without error: A - A' holds NaN there, which passes the
+    # symmetry test. A NaN was rejected only as a singular pivot.
+    for rows, reason in (
+        ([[1.0, 2.0], [0.0, 1.0]], "not symmetric"),
+        ([[-1.0, 0.0], [0.0, 1.0]], "nonpositive diagonal"),
+        ([[1.0, 1.0], [1.0, 1.0]], "factorization failed"),
+        ([[np.inf, 1.0], [1.0, 2.0]], "non-finite"),
+        ([[2.0, np.nan], [np.nan, 2.0]], "non-finite"),
+    ):
+        with pytest.raises(FactorizationError, match=reason):
+            factorize(sp.csr_matrix(np.array(rows)))
 
 
 def test_factorize_hands_superlu_the_arrays_of_a_csc_input(problem4, monkeypatch):

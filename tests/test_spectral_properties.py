@@ -8,7 +8,8 @@ estimated optimum by no more than rho_opt per step. Three invariants of the
 operators themselves hold there too: the splitting scheme's pressures are
 the Richardson iterates, S is symmetric, and the factors of A and Mp pivot
 on their diagonals in an order that depends only on the mesh. The spectral
-invariants also hold on jittered meshes, off the uniform grid.
+invariants, the Richardson equivalence and the symmetry of S also hold on
+jittered meshes, off the uniform grid.
 """
 
 import dataclasses
@@ -21,7 +22,13 @@ import biotfs as bf
 from biotfs.assembly import build_system
 from biotfs.linalg import factorize
 from biotfs.mesh import build_taylor_hood_dofs
-from biotfs.solver import fixed_stress_step, richardson_step, schur_rhs
+from biotfs.solver import (
+    MANUFACTURED_SOURCES,
+    TransientProblem,
+    fixed_stress_step,
+    richardson_step,
+    schur_rhs,
+)
 from oracles import jittered_mesh
 
 GRANITE = bf.MaterialParams(mu=41.667e9, lam=27.778e9, alpha=1.0, inv_m=0.0)
@@ -113,13 +120,15 @@ def test_tuning_parameters_match_dense_unshifted_pencil(params, n, seed):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(params=materials(), n=st.integers(2, 10))
-def test_splitting_pressures_are_richardson_iterates(params, n):
+@given(params=materials(), n=st.integers(2, 10), amp=st.floats(0.0, 0.2),
+       seed=st.integers(0, 2**31))
+def test_splitting_pressures_are_richardson_iterates(params, n, amp, seed):
     # 20 fixed-stress steps at L = alpha^2 / K_dr under the first-step loads
     # give the Richardson iterates at omega = 1/(L + inv_m), for inv_m = 0
-    # and inv_m > 0 alike.
-    problem = bf.build_problem(n, params)
-    system = problem.system
+    # and inv_m > 0 alike, on the structured mesh (amp = 0) or a jittered one.
+    dofs = build_taylor_hood_dofs(jittered_mesh(n, amp, seed))
+    system = build_system(dofs, params)
+    problem = TransientProblem(dofs, system, *MANUFACTURED_SOURCES)
     f, g = bf.step_loads(problem, 0.1, 0.1, np.zeros(system.n_u), np.zeros(system.n_p))
     L = params.alpha**2 / params.drained_bulk_modulus
     g_tilde = schur_rhs(system, f, g)
@@ -133,10 +142,12 @@ def test_splitting_pressures_are_richardson_iterates(params, n):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(params=materials(), n=st.integers(2, 10), seed=st.integers(0, 2**31))
-def test_schur_complement_is_symmetric(params, n, seed):
-    # |q.Sp - p.Sq| relative to the Cauchy-Schwarz scale of the two products.
-    system = bf.build_problem(n, params, sources=None).system
+@given(params=materials(), n=st.integers(2, 10), amp=st.floats(0.0, 0.2),
+       seed=st.integers(0, 2**31))
+def test_schur_complement_is_symmetric(params, n, amp, seed):
+    # |q.Sp - p.Sq| relative to the Cauchy-Schwarz scale of the two products,
+    # on the structured mesh (amp = 0) or a jittered one.
+    system = build_system(build_taylor_hood_dofs(jittered_mesh(n, amp, seed)), params)
     p, q = np.random.default_rng(seed).standard_normal((2, system.n_p))
     sp, sq = bf.schur_apply(system, p), bf.schur_apply(system, q)
     scale = max(np.linalg.norm(q) * np.linalg.norm(sp), np.linalg.norm(p) * np.linalg.norm(sq))
